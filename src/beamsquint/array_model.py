@@ -30,28 +30,17 @@ _SINGULARITY_EPS = 1e-9
 
 @dataclass(frozen=True)
 class ArrayConfig:
-    """Uniform linear array of isotropic elements.
-
-    Parameters
-    ----------
-    n_antennas : int
-        Number of elements, at least 2.
-    spacing_ratio : float
-        Element spacing over carrier wavelength.  Only 0.5 is accepted:
-        the closed-form gain below is specific to half-wavelength spacing.
-    """
+    """Uniform linear array of ``n_antennas`` (at least 2) isotropic
+    elements at half-wavelength spacing, the spacing the closed-form gain
+    below is specific to."""
 
     n_antennas: int
-    spacing_ratio: float = 0.5
 
     def __post_init__(self):
         if not isinstance(self.n_antennas, (int, np.integer)) or isinstance(self.n_antennas, bool):
             raise ConfigError(f"n_antennas must be an integer, got {self.n_antennas!r}")
         if self.n_antennas < 2:
             raise ConfigError(f"n_antennas must be >= 2, got {self.n_antennas}")
-        if self.spacing_ratio != 0.5:
-            raise ConfigError(
-                f"spacing_ratio must be 0.5 (half-wavelength), got {self.spacing_ratio}")
 
     @property
     def peak_gain(self) -> float:
@@ -110,8 +99,8 @@ def virtual_angle(theta: float) -> float:
 def phase_vector(psi_f: float, cfg: ArrayConfig) -> PhaseVector:
     """Phase-shifter settings that focus the carrier on virtual angle psi_f.
 
-    Element n (1-based) gets phase 2*pi*(d/lambda_c)*(n-1)*psi_f, so the
-    first element is always 0.
+    Element n (1-based) gets phase pi*(n-1)*psi_f at half-wavelength
+    spacing, so the first element is always 0.
 
     Raises
     ------
@@ -129,7 +118,7 @@ def steering_phases(psi_f: float, cfg: ArrayConfig) -> np.ndarray:
     Codebook synthesis can push the last beam's focus marginally past the
     visible region; the phase formula remains well defined there.
     """
-    phases = (2.0 * math.pi * cfg.spacing_ratio * psi_f) * np.arange(cfg.n_antennas)
+    phases = (math.pi * psi_f) * np.arange(cfg.n_antennas)
     phases.flags.writeable = False
     return phases
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .array_model import ArrayConfig, _ratio_array, gain_mag, subcarrier_grid
 from .errors import ConfigError, DomainError, InfeasibleError
-from .roots import bisect_decreasing
+from .roots import bisect
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -28,6 +28,10 @@ ArrayLike = Union[float, np.ndarray]
 MIN_REGION_R = 0.25
 
 _REL_TOL_B = 1e-12
+
+# Arrival angles per block in the vector path of capacity_bs; bounds the
+# angles x subcarriers temporaries at 2048 * n_f floats.
+_ANGLE_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -47,8 +51,8 @@ class BandConfig:
     carrier_hz: float | None = None
 
     def __post_init__(self):
-        if self.snr <= 0.0:
-            raise ConfigError(f"snr must be positive, got {self.snr}")
+        if not 0.0 < self.snr < math.inf:
+            raise ConfigError(f"snr must be finite and positive, got {self.snr}")
         # Delegates the b / n_f checks (also warms the ratio cache).
         subcarrier_grid(self.b, self.n_f)
         if self.bandwidth_hz is not None and self.bandwidth_hz <= 0:
@@ -103,8 +107,9 @@ def capacity_bs(psi_f: float, psi: ArrayLike, band: BandConfig,
 
     Averages the per-subcarrier Shannon rates, each evaluated at its
     squinted angle.  ``psi`` may be an array, in which case one capacity
-    per entry is returned.  At zero fractional bandwidth the subcarrier
-    grid collapses and this is exactly :func:`capacity_nbs`.
+    per entry is returned, computed in blocks of 2048 angles to bound
+    memory.  At zero fractional bandwidth the subcarrier grid
+    collapses and this is exactly :func:`capacity_nbs`.
     """
     if band.b == 0.0:
         return capacity_nbs(psi_f, psi, band, arr)
@@ -114,8 +119,12 @@ def capacity_bs(psi_f: float, psi: ArrayLike, band: BandConfig,
     if ps.ndim == 0:
         g2 = gain_mag(xi * float(ps) - psi_f, arr) ** 2
         return float(scale * np.sum(np.log2(1.0 + band.snr * g2)))
-    g2 = gain_mag(xi[np.newaxis, :] * ps[:, np.newaxis] - psi_f, arr) ** 2
-    return scale * np.sum(np.log2(1.0 + band.snr * g2), axis=1)
+    out = np.empty(len(ps))
+    for i in range(0, len(ps), _ANGLE_CHUNK):
+        block = ps[i:i + _ANGLE_CHUNK]
+        g2 = gain_mag(xi[np.newaxis, :] * block[:, np.newaxis] - psi_f, arr) ** 2
+        out[i:i + _ANGLE_CHUNK] = scale * np.sum(np.log2(1.0 + band.snr * g2), axis=1)
+    return out
 
 
 def capacity_nbs(psi_f: float, psi: ArrayLike, band: BandConfig,
@@ -157,8 +166,7 @@ def _gain_halfwidth(r: float, n: int) -> float:
     """Half-width of the main-lobe interval where gain >= r*sqrt(N)."""
     cfg = ArrayConfig(n)
     target = r * cfg.peak_gain
-    return bisect_decreasing(lambda w: gain_mag(w, cfg) - target,
-                             0.0, cfg.main_lobe_half_span)
+    return bisect(lambda w: gain_mag(w, cfg) - target, 0.0, cfg.main_lobe_half_span)
 
 
 def gain_region(psi_f: float, r: float, arr: ArrayConfig) -> GainRegion:
@@ -196,7 +204,7 @@ def beamwidth_nbs(c_t: float, band: BandConfig, arr: ArrayConfig) -> float:
     if c_t >= peak:
         raise InfeasibleError(
             f"threshold {c_t} is not below the peak no-squint capacity {peak}")
-    if c_t <= 0.0:
+    if not c_t > 0.0:
         raise DomainError(f"c_t must be positive, got {c_t}")
     r = math.sqrt((2.0 ** (c_t / band.bandwidth) - 1.0) / (n * band.snr))
     if r < MIN_REGION_R:

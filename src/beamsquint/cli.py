@@ -51,8 +51,8 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
-def _add_array_arg(p: argparse.ArgumentParser, required: bool = True) -> None:
-    p.add_argument("--antennas", type=int, required=required,
+def _add_array_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--antennas", type=int, required=True,
                    help="number of array elements")
 
 
@@ -241,6 +241,9 @@ def _cmd_gain(args) -> str:
 
 
 def _cmd_capacity(args) -> str:
+    for flag, value in (("--psi-f", args.psi_f), ("--psi", args.psi)):
+        if not -1.0 <= value <= 1.0:
+            raise DomainError(f"{flag} must be in [-1, 1], got {value}")
     cfg = _run_config(args)
     arr, band = cfg.arr, cfg.band
     unit = "bit/s" if band.bandwidth_hz is not None else "bit/s/Hz"

@@ -25,11 +25,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .array_model import ArrayConfig, PhaseVector, steering_phases
+from .array_model import ArrayConfig
 from .capacity import (BandConfig, beamwidth_nbs, capacity_bs, capacity_threshold,
                        gain_region)
 from .errors import ConfigError, DomainError, InfeasibleError
-from .roots import bisect_decreasing, bisect_increasing
+from .roots import bisect
 
 # A solved beam narrower than this cannot make progress at the solver's
 # 1e-10 angular resolution; the design is declared infeasible.
@@ -39,16 +39,25 @@ _MIN_BEAM_WIDTH = 1e-9
 # immediate neighbourhood of the feasibility boundary.
 _MAX_BEAMS = 100_000
 
+# Relative capacity slack of coverage_check.
+_COVERAGE_RTOL = 1e-6
+
 
 @dataclass(frozen=True)
 class Beam:
-    """One codebook entry: focus angle, phases and solved coverage edges."""
+    """One codebook entry: focus angle and solved coverage edges.
+
+    The phase-shifter settings follow from the focus alone, see
+    :func:`~beamsquint.array_model.steering_phases`.
+    """
 
     focus: float
-    phases: PhaseVector
     left: float
     right: float
-    width: float
+
+    @property
+    def width(self) -> float:
+        return self.right - self.left
 
 
 @dataclass(frozen=True)
@@ -59,7 +68,10 @@ class Codebook:
     psi_m: float
     c_t: float
     parity: str
-    size: int
+
+    @property
+    def size(self) -> int:
+        return len(self.beams)
 
 
 @dataclass(frozen=True)
@@ -68,9 +80,12 @@ class FeasibilityReport:
 
     n: int
     b: float
-    feasible: bool
     failing_focus: float | None = None
     size_if_feasible: int | None = None
+
+    @property
+    def feasible(self) -> bool:
+        return self.size_if_feasible is not None
 
 
 @dataclass(frozen=True)
@@ -102,20 +117,24 @@ def solve_right_edge(psi_f: float, c_t: float, band: BandConfig,
     if capacity_bs(psi_f, psi_f, band, arr) < c_t:
         raise InfeasibleError(
             f"capacity at focus {psi_f} is below the threshold", psi_f)
-    return bisect_decreasing(
+    return bisect(
         lambda psi: capacity_bs(psi_f, psi, band, arr) - c_t, psi_f, psi_f + half)
 
 
 def solve_left_edge(psi_f: float, c_t: float, band: BandConfig,
                     arr: ArrayConfig) -> float:
-    """Left coverage edge of a beam focused on ``psi_f``; mirror of
-    :func:`solve_right_edge`."""
-    half = beamwidth_nbs(c_t, band, arr) / 2.0
-    if capacity_bs(psi_f, psi_f, band, arr) < c_t:
+    """Left coverage edge of a beam focused on ``psi_f``.
+
+    The capacity is exactly symmetric under (psi_f, psi) -> (-psi_f, -psi),
+    so this is the mirrored right edge of the beam focused on -psi_f.
+    """
+    try:
+        return 0.0 - solve_right_edge(0.0 - psi_f, c_t, band, arr)
+    except InfeasibleError as exc:
+        if exc.failing_focus is None:
+            raise
         raise InfeasibleError(
-            f"capacity at focus {psi_f} is below the threshold", psi_f)
-    return bisect_increasing(
-        lambda psi: capacity_bs(psi_f, psi, band, arr) - c_t, psi_f - half, psi_f)
+            f"capacity at focus {psi_f} is below the threshold", psi_f) from None
 
 
 def solve_focus_from_left(psi_l: float, c_t: float, band: BandConfig,
@@ -136,7 +155,7 @@ def solve_focus_from_left(psi_l: float, c_t: float, band: BandConfig,
     if capacity_bs(psi_l, psi_l, band, arr) < c_t:
         raise InfeasibleError(
             f"no focus can deliver the threshold at left edge {psi_l}", psi_l)
-    return bisect_decreasing(
+    return bisect(
         lambda pf: capacity_bs(pf, psi_l, band, arr) - c_t, psi_l, psi_l + half)
 
 
@@ -163,18 +182,13 @@ def _grow_chain(start_right: float, psi_m: float, c_t: float, band: BandConfig,
 
 def _assemble(positives: list[tuple[float, float, float]],
               centre: tuple[float, float, float] | None,
-              psi_m: float, c_t: float, arr: ArrayConfig, parity: str) -> Codebook:
+              psi_m: float, c_t: float, parity: str) -> Codebook:
     """Mirror the positive-side chain about broadside and build the codebook."""
-    def beam(focus: float, left: float, right: float) -> Beam:
-        return Beam(focus=focus, phases=PhaseVector(steering_phases(focus, arr), focus),
-                    left=left, right=right, width=right - left)
-
     # 0.0 - x rather than -x keeps a 0.0 edge from turning into -0.0.
-    mirrored = [beam(0.0 - f, 0.0 - r, 0.0 - l) for f, l, r in reversed(positives)]
-    middle = [beam(*centre)] if centre is not None else []
-    ordered = mirrored + middle + [beam(*t) for t in positives]
-    return Codebook(beams=tuple(ordered), psi_m=psi_m, c_t=c_t,
-                    parity=parity, size=len(ordered))
+    mirrored = [Beam(0.0 - f, 0.0 - r, 0.0 - l) for f, l, r in reversed(positives)]
+    middle = [Beam(*centre)] if centre is not None else []
+    ordered = mirrored + middle + [Beam(*t) for t in positives]
+    return Codebook(beams=tuple(ordered), psi_m=psi_m, c_t=c_t, parity=parity)
 
 
 def design_codebook(psi_m: float, c_t: float, band: BandConfig, arr: ArrayConfig,
@@ -207,13 +221,13 @@ def design_codebook(psi_m: float, c_t: float, band: BandConfig, arr: ArrayConfig
     try:
         r0 = solve_right_edge(0.0, c_t, band, arr)
         chain = _grow_chain(r0, psi_m, c_t, band, arr, max_beams)
-        odd = _assemble(chain, (0.0, 0.0 - r0, r0), psi_m, c_t, arr, "odd")
+        odd = _assemble(chain, (0.0, 0.0 - r0, r0), psi_m, c_t, "odd")
     except InfeasibleError as exc:
         odd_failure = exc
 
     try:
         chain = _grow_chain(0.0, psi_m, c_t, band, arr, max_beams)
-        even = _assemble(chain, None, psi_m, c_t, arr, "even")
+        even = _assemble(chain, None, psi_m, c_t, "even")
     except InfeasibleError as exc:
         if odd is None:
             failure = odd_failure if odd_failure is not None else exc
@@ -233,36 +247,26 @@ def assess_feasibility(psi_m: float, c_t: float, band: BandConfig,
     try:
         cb = design_codebook(psi_m, c_t, band, arr)
     except InfeasibleError as exc:
-        return FeasibilityReport(n=arr.n_antennas, b=band.b, feasible=False,
+        return FeasibilityReport(n=arr.n_antennas, b=band.b,
                                  failing_focus=exc.failing_focus)
-    return FeasibilityReport(n=arr.n_antennas, b=band.b, feasible=True,
-                             size_if_feasible=cb.size)
-
-
-def _capacity_at(psi_f: float, points: np.ndarray, band: BandConfig,
-                 arr: ArrayConfig, chunk: int = 2048) -> np.ndarray:
-    """Squinted capacity at many arrival angles, chunked to bound memory."""
-    if len(points) <= chunk:
-        return np.atleast_1d(capacity_bs(psi_f, points, band, arr))
-    parts = [capacity_bs(psi_f, points[i:i + chunk], band, arr)
-             for i in range(0, len(points), chunk)]
-    return np.concatenate([np.atleast_1d(p) for p in parts])
+    return FeasibilityReport(n=arr.n_antennas, b=band.b, size_if_feasible=cb.size)
 
 
 def coverage_check(cb: Codebook, band: BandConfig, arr: ArrayConfig,
-                   grid_step: float, tol: float = 1e-6) -> bool:
+                   grid_step: float) -> bool:
     """Independently verify that the codebook covers [-psi_m, psi_m].
 
     True iff every grid angle has at least one beam whose squinted capacity
-    meets ``c_t - tol`` there.  Each point is first tested against the beam
-    with the nearest focus (a speed heuristic only); points that fail fall
-    back to an exhaustive scan over all beams.
+    meets ``c_t * (1 - 1e-6)`` there; the slack is relative, so the verdict
+    is the same in bit/s and per unit bandwidth.  Each point is first
+    tested against the beam with the nearest focus (a speed heuristic
+    only); points that fail fall back to an exhaustive scan over all beams.
     """
     if grid_step <= 0.0:
         raise ConfigError(f"grid_step must be positive, got {grid_step}")
     grid = np.arange(-cb.psi_m, cb.psi_m + grid_step / 2.0, grid_step)
     foci = np.array([beam.focus for beam in cb.beams])
-    floor = cb.c_t - tol
+    floor = cb.c_t * (1.0 - _COVERAGE_RTOL)
 
     idx = np.clip(np.searchsorted(foci, grid), 0, len(foci) - 1)
     left = np.clip(idx - 1, 0, len(foci) - 1)
@@ -274,7 +278,7 @@ def coverage_check(cb: Codebook, band: BandConfig, arr: ArrayConfig,
         pts = grid[nearest == i]
         if pts.size == 0:
             continue
-        caps = _capacity_at(cb.beams[i].focus, pts, band, arr)
+        caps = capacity_bs(cb.beams[i].focus, pts, band, arr)
         unresolved.extend(pts[caps < floor])
 
     for psi in unresolved:
@@ -331,17 +335,13 @@ def estimate_bsup(arr: ArrayConfig, r: float, snr: float, psi_m: float = 1.0,
     bandwidth is always feasible.  Feasibility is monotone in b across the
     sampled parameter space, which the test suite checks empirically.
     """
-    if tol_b <= 0.0:
+    if not tol_b > 0.0:
         raise ConfigError(f"tol_b must be positive, got {tol_b}")
 
     def feasible(b: float) -> bool:
         band = BandConfig(b=b, n_f=n_f, snr=snr)
-        c_t = capacity_threshold(r, band, arr)
-        try:
-            design_codebook(psi_m, c_t, band, arr)
-        except InfeasibleError:
-            return False
-        return True
+        return assess_feasibility(psi_m, capacity_threshold(r, band, arr),
+                                  band, arr).feasible
 
     lo, hi = 0.0, 2.0
     for _ in range(max_iter):

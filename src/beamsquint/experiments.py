@@ -62,6 +62,8 @@ def sweep_gain_pattern(arr: ArrayConfig, x_range: tuple[float, float] = (-1.0, 1
     """Dense samples of the array gain magnitude over ``x_range``."""
     if steps < 2:
         raise ConfigError(f"steps must be >= 2, got {steps}")
+    if not np.all(np.isfinite(x_range)):
+        raise ConfigError(f"x_range must be finite, got {tuple(x_range)}")
     xs = np.linspace(x_range[0], x_range[1], steps)
     mags = gain_mag(xs, arr)
     return SweepResult(
@@ -319,40 +321,31 @@ _METADATA_KEYS = {"units_note", "infeasible_marker", "witnesses", "fact3_a",
                   "fact3_bsup"}
 
 
+_SWEEPS: dict[str, Callable[..., SweepResult]] = {
+    "gain-pattern": sweep_gain_pattern,
+    "capacity-vs-bandwidth": sweep_capacity_vs_bandwidth,
+    "improvement-vs-focus": sweep_improvement_vs_focus,
+    "improvement-max-vs-b": sweep_improvement_max_vs_b,
+    "codebook-size-vs-n": sweep_codebook_size_vs_n,
+    "verify-facts": verify_facts,
+}
+
+
 def rerun(params: Mapping) -> SweepResult:
     """Re-execute a sweep from its emitted ``params`` mapping.
 
+    The remaining inputs are passed to the sweep as keywords; ``n_antennas``
+    is decoded to the ``arr`` (one size) or ``arrays`` (a list) argument.
     The result's rows are reproduced bit for bit.
     """
     p = {k: v for k, v in dict(params).items() if k not in _METADATA_KEYS}
     kind = p.pop("sweep", None)
-    if kind == "gain-pattern":
-        return sweep_gain_pattern(ArrayConfig(p["n_antennas"]),
-                                  x_range=tuple(p["x_range"]), steps=p["steps"])
-    if kind == "capacity-vs-bandwidth":
-        return sweep_capacity_vs_bandwidth(
-            [ArrayConfig(n) for n in p["n_antennas"]], psi_f=p["psi_f"],
-            psi=p["psi"], p_over_sigma2_hz=p["p_over_sigma2_hz"], n_f=p["n_f"],
-            bandwidth_range_hz=tuple(p["bandwidth_range_hz"]), steps=p["steps"],
-            carrier_hz=p["carrier_hz"])
-    if kind == "improvement-vs-focus":
-        return sweep_improvement_vs_focus(
-            [ArrayConfig(n) for n in p["n_antennas"]], b=p["b"], r=p["r"],
-            snr=p["snr"], n_f=p["n_f"], psi_f_step=p["psi_f_step"])
-    if kind == "improvement-max-vs-b":
-        return sweep_improvement_max_vs_b(
-            [ArrayConfig(n) for n in p["n_antennas"]], b_values=p["b_values"],
-            r=p["r"], snr=p["snr"], n_f=p["n_f"])
-    if kind == "codebook-size-vs-n":
-        return sweep_codebook_size_vs_n(
-            b_values=p["b_values"], n_values=p["n_values"], r=p["r"],
-            snr=p["snr"], psi_m=p["psi_m"], n_f=p["n_f"])
-    if kind == "verify-facts":
-        return verify_facts(
-            fact1_samples=p["fact1_samples"], fact2_samples=p["fact2_samples"],
-            seed=p["seed"], n_f=p["n_f"], snr=p["snr"],
-            n_range=tuple(p["n_range"]), b_max=p["b_max"],
-            fact3_n_values=p["fact3_n_values"], fact3_r=p["fact3_r"],
-            fact3_psi_m=p["fact3_psi_m"], fact3_tol_b=p["fact3_tol_b"],
-            fact3_rel_tol=p["fact3_rel_tol"])
-    raise ConfigError(f"unknown sweep kind: {kind!r}")
+    if kind not in _SWEEPS:
+        raise ConfigError(f"unknown sweep kind: {kind!r}")
+    if "n_antennas" in p:
+        n = p.pop("n_antennas")
+        if isinstance(n, list):
+            p["arrays"] = [ArrayConfig(k) for k in n]
+        else:
+            p["arr"] = ArrayConfig(n)
+    return _SWEEPS[kind](**p)

@@ -13,42 +13,23 @@ DEFAULT_TOL = 1e-10
 MAX_ITER = 200
 
 
-def bisect_decreasing(f: Callable[[float], float], lo: float, hi: float,
-                      tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) -> float:
-    """Root of ``f`` on ``[lo, hi]`` assuming ``f(lo) >= 0 >= f(hi)``.
+def bisect(f: Callable[[float], float], good: float, bad: float,
+           tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) -> float:
+    """Root of ``f`` between ``good`` and ``bad``, assuming
+    ``f(good) >= 0 > f(bad)``.
 
-    ``f`` must cross zero once on the bracket.  Returns ``hi`` when ``f``
-    never goes negative (the root sits on the bracket boundary, e.g. the
-    zero-bandwidth degenerate case).
+    The two ends may come in either order, and ``f`` must cross zero once
+    between them.  Returns ``bad`` when ``f(bad) >= 0`` (the root sits on
+    the bracket boundary, e.g. the zero-bandwidth degenerate case).
     """
-    if f(hi) >= 0.0:
-        return hi
+    if f(bad) >= 0.0:
+        return bad
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * (good + bad)
         if f(mid) >= 0.0:
-            lo = mid
+            good = mid
         else:
-            hi = mid
-        if hi - lo < tol:
+            bad = mid
+        if abs(bad - good) < tol:
             break
-    return 0.5 * (lo + hi)
-
-
-def bisect_increasing(f: Callable[[float], float], lo: float, hi: float,
-                      tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) -> float:
-    """Root of ``f`` on ``[lo, hi]`` assuming ``f(lo) <= 0 <= f(hi)``.
-
-    Mirror of :func:`bisect_decreasing`; returns ``lo`` when ``f`` never
-    goes negative.
-    """
-    if f(lo) >= 0.0:
-        return lo
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < tol:
-            break
-    return 0.5 * (lo + hi)
+    return 0.5 * (good + bad)

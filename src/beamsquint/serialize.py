@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .array_model import ArrayConfig
+from .array_model import ArrayConfig, steering_phases
 from .capacity import BandConfig
 from .codebook import Codebook
 from .experiments import SweepResult
@@ -90,7 +90,8 @@ def codebook_to_json(cb: Codebook, band: BandConfig, arr: ArrayConfig,
     doc["parity"] = cb.parity
     doc["beams"] = [
         {"focus": beam.focus, "left": beam.left, "right": beam.right,
-         "width": beam.width, "phases": [float(p) for p in beam.phases.phases]}
+         "width": beam.width,
+         "phases": [float(p) for p in steering_phases(beam.focus, arr)]}
         for beam in cb.beams
     ]
     return to_json(doc)

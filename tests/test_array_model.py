@@ -20,10 +20,6 @@ class TestArrayConfig:
         with pytest.raises(ConfigError):
             ArrayConfig(8.0)
 
-    def test_rejects_other_spacing(self):
-        with pytest.raises(ConfigError):
-            ArrayConfig(8, spacing_ratio=0.6)
-
     def test_derived_spans(self):
         arr = ArrayConfig(16)
         assert arr.peak_gain == 4.0

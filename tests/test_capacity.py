@@ -41,6 +41,8 @@ class TestBandConfig:
         dict(b=0.03, n_f=64, snr=-1.0),
         dict(b=2.0, n_f=64, snr=1.0),
         dict(b=0.03, n_f=63, snr=1.0),
+        dict(b=0.03, n_f=64, snr=math.nan),
+        dict(b=0.03, n_f=64, snr=math.inf),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
@@ -72,6 +74,17 @@ class TestCapacityBs:
         vec = capacity_bs(0.2, psis, band, arr64)
         for p, v in zip(psis, vec):
             assert v == capacity_bs(0.2, float(p), band, arr64)
+
+    @pytest.mark.parametrize("count", [2047, 2048, 2049, 5000])
+    def test_chunked_vector_matches_slices(self, arr16, count):
+        # The vector path works in blocks of 2048 angles; block edges must
+        # not change a single bit.
+        band = BandConfig(b=0.05, n_f=64, snr=1.0)
+        psis = np.linspace(-1.0, 1.0, count)
+        slices = [capacity_bs(0.3, psis[i:i + 7], band, arr16)
+                  for i in range(0, count, 7)]
+        assert np.array_equal(capacity_bs(0.3, psis, band, arr16),
+                              np.concatenate(slices))
 
     def test_reflection_invariance_is_exact(self, arr64):
         band = BandConfig(b=0.03, n_f=512, snr=1.0)

@@ -139,6 +139,26 @@ class TestConfigErrors:
         assert code == 2
         assert "--subcarriers" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["capacity", "--antennas", "16", "--frac-bandwidth", "0.01",
+         "--psi-f", "0", "--psi", "0", "--snr-db", "nan"],
+        ["capacity", "--antennas", "16", "--frac-bandwidth", "0.01",
+         "--psi-f", "0", "--psi", "0", "--snr-db", "inf"],
+        ["design", "--antennas", "16", "--frac-bandwidth", "0.01",
+         "--snr-db", "0", "--ct", "nan"],
+        ["bsup", "--antennas", "8", "--snr-db", "0", "--tol-b", "nan",
+         "--subcarriers", "64"],
+        ["gain", "--antennas", "8", "--x-min", "nan"],
+        ["capacity", "--antennas", "16", "--frac-bandwidth", "0.01",
+         "--psi-f", "5", "--psi", "3", "--snr-db", "0"],
+    ], ids=["snr-nan", "snr-inf", "ct-nan", "tol-b-nan", "x-min-nan",
+            "psi-out-of-range"])
+    def test_non_finite_or_out_of_domain_exits_2(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_bad_fractional_bandwidth_names_flag(self, capsys):
         code, _, err = run_cli(
             ["capacity", "--antennas", "16", "--frac-bandwidth", "2.5",

@@ -3,13 +3,12 @@ import math
 import pytest
 
 from beamsquint import (ArrayConfig, BandConfig, Beam, Codebook, ConfigError,
-                        InfeasibleError, PhaseVector, assess_feasibility,
+                        InfeasibleError, assess_feasibility,
                         beamwidth_nbs, capacity_bs, capacity_threshold,
                         capacity_threshold_3db, coverage_check, design_codebook,
                         estimate_bsup, fit_bsup_constant, improvement_max,
                         improvement_ratio, solve_focus_from_left, solve_left_edge,
-                        solve_right_edge, steering_phases,
-                        traditional_min_capacity)
+                        solve_right_edge, traditional_min_capacity)
 
 from oracles import ref_halfwidth, scan_first_at_or_above, scan_last_at_or_above
 
@@ -109,6 +108,9 @@ class TestEdgeSolvers:
         assert err.value.failing_focus == 0.9
         with pytest.raises(InfeasibleError):
             solve_focus_from_left(0.9, c_t, band, arr)
+        with pytest.raises(InfeasibleError) as err:
+            solve_left_edge(0.9, c_t, band, arr)
+        assert err.value.failing_focus == 0.9
 
 
 def uniform_tiling_sizes(psi_m, halfwidth):
@@ -229,8 +231,7 @@ class TestCoverageCheck:
         cb = design_codebook(1.0, threshold(band, arr), band, arr)
         for i in range(cb.size):
             pruned = Codebook(beams=cb.beams[:i] + cb.beams[i + 1:],
-                              psi_m=cb.psi_m, c_t=cb.c_t, parity=cb.parity,
-                              size=cb.size - 1)
+                              psi_m=cb.psi_m, c_t=cb.c_t, parity=cb.parity)
             assert not coverage_check(pruned, band, arr, grid_step=1e-3), i
 
     def test_squint_ignoring_codebook_fails(self):
@@ -243,13 +244,9 @@ class TestCoverageCheck:
         w = ref_halfwidth(SQRT2_OVER_2, n)
         pairs = math.ceil((1.0 - w) / (2 * w))
         foci = [2 * w * k for k in range(-pairs, pairs + 1)]
-        beams = tuple(
-            Beam(focus=f, phases=PhaseVector(steering_phases(f, arr), f),
-                 left=f - w, right=f + w, width=2 * w)
-            for f in foci)
+        beams = tuple(Beam(focus=f, left=f - w, right=f + w) for f in foci)
         traditional = Codebook(beams=beams, psi_m=1.0, c_t=c_t,
-                               parity="odd" if len(beams) % 2 else "even",
-                               size=len(beams))
+                               parity="odd" if len(beams) % 2 else "even")
         assert not coverage_check(traditional, band, arr, grid_step=1e-3)
 
     def test_grid_step_must_be_positive(self):
