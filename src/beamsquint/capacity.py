@@ -27,6 +27,9 @@ ArrayLike = Union[float, np.ndarray]
 # near 0.217*sqrt(N)); only the main lobe is modelled.
 MIN_REGION_R = 0.25
 
+# Gain ratio of the 3 dB capacity threshold, the default everywhere.
+R_3DB = math.sqrt(2.0) / 2.0
+
 _REL_TOL_B = 1e-12
 
 # Arrival angles per block in the vector path of capacity_bs; bounds the
@@ -158,7 +161,7 @@ def capacity_threshold(r: float, band: BandConfig, arr: ArrayConfig) -> float:
 
 def capacity_threshold_3db(band: BandConfig, arr: ArrayConfig) -> float:
     """The r = sqrt(2)/2 capacity threshold (gain 3 dB below peak)."""
-    return capacity_threshold(math.sqrt(2.0) / 2.0, band, arr)
+    return capacity_threshold(R_3DB, band, arr)
 
 
 @lru_cache(maxsize=4096)

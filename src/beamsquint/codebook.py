@@ -20,6 +20,7 @@ state and may run concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,6 +39,10 @@ _MIN_BEAM_WIDTH = 1e-9
 # Hard cap on beams per chain; the count grows without bound only in the
 # immediate neighbourhood of the feasibility boundary.
 _MAX_BEAMS = 100_000
+
+# Cap on estimate_bsup's feasibility probes; 2 / 2**60 is below any
+# useful tol_b.
+_BSUP_MAX_ITER = 60
 
 # Relative capacity slack of coverage_check.
 _COVERAGE_RTOL = 1e-6
@@ -160,7 +165,7 @@ def solve_focus_from_left(psi_l: float, c_t: float, band: BandConfig,
 
 
 def _grow_chain(start_right: float, psi_m: float, c_t: float, band: BandConfig,
-                arr: ArrayConfig, max_beams: int) -> list[tuple[float, float, float]]:
+                arr: ArrayConfig) -> list[tuple[float, float, float]]:
     """Chain (focus, left, right) triples rightward until psi_m is covered."""
     out: list[tuple[float, float, float]] = []
     right = start_right
@@ -174,9 +179,9 @@ def _grow_chain(start_right: float, psi_m: float, c_t: float, band: BandConfig,
                 focus)
         out.append((focus, left, edge))
         right = edge
-        if len(out) > max_beams:
+        if len(out) > _MAX_BEAMS:
             raise InfeasibleError(
-                f"beam count exceeded {max_beams} before reaching {psi_m}", focus)
+                f"beam count exceeded {_MAX_BEAMS} before reaching {psi_m}", focus)
     return out
 
 
@@ -191,8 +196,8 @@ def _assemble(positives: list[tuple[float, float, float]],
     return Codebook(beams=tuple(ordered), psi_m=psi_m, c_t=c_t, parity=parity)
 
 
-def design_codebook(psi_m: float, c_t: float, band: BandConfig, arr: ArrayConfig,
-                    max_beams: int = _MAX_BEAMS) -> Codebook:
+def design_codebook(psi_m: float, c_t: float, band: BandConfig,
+                    arr: ArrayConfig) -> Codebook:
     """Smallest broadside-symmetric codebook covering [-psi_m, psi_m].
 
     Runs two constructions and keeps the smaller:
@@ -220,13 +225,13 @@ def design_codebook(psi_m: float, c_t: float, band: BandConfig, arr: ArrayConfig
 
     try:
         r0 = solve_right_edge(0.0, c_t, band, arr)
-        chain = _grow_chain(r0, psi_m, c_t, band, arr, max_beams)
+        chain = _grow_chain(r0, psi_m, c_t, band, arr)
         odd = _assemble(chain, (0.0, 0.0 - r0, r0), psi_m, c_t, "odd")
     except InfeasibleError as exc:
         odd_failure = exc
 
     try:
-        chain = _grow_chain(0.0, psi_m, c_t, band, arr, max_beams)
+        chain = _grow_chain(0.0, psi_m, c_t, band, arr)
         even = _assemble(chain, None, psi_m, c_t, "even")
     except InfeasibleError as exc:
         if odd is None:
@@ -298,7 +303,7 @@ def traditional_min_capacity(psi_f: float, r: float, band: BandConfig,
     edges.
     """
     region = gain_region(psi_f, r, arr)
-    if region.lo > region.hi:
+    if not region.lo <= region.hi:  # also a NaN focus
         raise DomainError(f"gain region at psi_f={psi_f} is empty")
     return min(capacity_bs(psi_f, region.lo, band, arr),
                capacity_bs(psi_f, region.hi, band, arr))
@@ -322,21 +327,27 @@ def improvement_max(r: float, band: BandConfig, arr: ArrayConfig,
     The ratio is invariant under focus reflection, so only [0, 1] is
     scanned; the maximum sits at (or within a grid step of) endfire.
     """
-    grid = np.arange(0.0, 1.0 + grid_step / 2.0, grid_step)
-    return max(improvement_ratio(float(pf), r, band, arr) for pf in grid)
+    return max(improvement_ratio(float(pf), r, band, arr)
+               for pf in _focus_grid(grid_step))
+
+
+def _focus_grid(step: float) -> np.ndarray:
+    """Focus angles 0, step, 2*step, ... up to 1 (within half a step)."""
+    if not 0.0 < step <= 1.0:
+        raise ConfigError(f"focus grid step must be in (0, 1], got {step}")
+    return np.arange(0.0, 1.0 + step / 2.0, step)
 
 
 def estimate_bsup(arr: ArrayConfig, r: float, snr: float, psi_m: float = 1.0,
-                  tol_b: float = 1e-6, n_f: int = 2048,
-                  max_iter: int = 60) -> float:
+                  tol_b: float = 1e-6, n_f: int = 2048) -> float:
     """Largest fractional bandwidth at which a codebook still exists.
 
     Bisects feasibility of :func:`design_codebook` over b in [0, 2); zero
     bandwidth is always feasible.  Feasibility is monotone in b across the
     sampled parameter space, which the test suite checks empirically.
     """
-    if not tol_b > 0.0:
-        raise ConfigError(f"tol_b must be positive, got {tol_b}")
+    if not 0.0 < tol_b < math.inf:
+        raise ConfigError(f"tol_b must be finite and positive, got {tol_b}")
 
     def feasible(b: float) -> bool:
         band = BandConfig(b=b, n_f=n_f, snr=snr)
@@ -344,7 +355,7 @@ def estimate_bsup(arr: ArrayConfig, r: float, snr: float, psi_m: float = 1.0,
                                   band, arr).feasible
 
     lo, hi = 0.0, 2.0
-    for _ in range(max_iter):
+    for _ in range(_BSUP_MAX_ITER):
         if hi - lo <= tol_b:
             break
         mid = 0.5 * (lo + hi)

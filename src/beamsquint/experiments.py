@@ -19,10 +19,10 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .array_model import ArrayConfig, gain_mag
-from .capacity import (BandConfig, capacity_bs, capacity_nbs, capacity_threshold,
-                       spectral_efficiency_bs, squint_safe_range)
-from .codebook import (assess_feasibility, estimate_bsup, improvement_max,
-                       improvement_ratio)
+from .capacity import (R_3DB, BandConfig, capacity_bs, capacity_nbs,
+                       capacity_threshold, spectral_efficiency_bs, squint_safe_range)
+from .codebook import (_focus_grid, assess_feasibility, estimate_bsup,
+                       improvement_max, improvement_ratio)
 from .errors import ConfigError
 
 INFEASIBLE_MARKER = -1.0
@@ -33,12 +33,30 @@ _UNITS_NOTE = ("capacities in bit/s; per-point snr is p_over_sigma2_hz divided "
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Labelled numeric table plus the parameters that produced it."""
+    """Labelled numeric table plus the parameters that produced it.
+
+    The parameters are emitted and re-run, so they must be finite; this
+    also catches a NaN input that an empty size list left unused.
+    """
 
     name: str
     columns: tuple[tuple[str, str], ...]
     rows: tuple[tuple[float, ...], ...]
     params: dict
+
+    def __post_init__(self):
+        bad = [key for key, value in self.params.items() if _has_non_finite(value)]
+        if bad:
+            raise ConfigError(f"{self.name}: non-finite {', '.join(bad)}")
+
+
+def _has_non_finite(value) -> bool:
+    """True if ``value`` holds a NaN or infinite float at any depth."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return any(_has_non_finite(v) for v in value)
+    return isinstance(value, (float, np.floating)) and not math.isfinite(value)
 
 
 def _max_workers() -> int:
@@ -87,6 +105,9 @@ def sweep_capacity_vs_bandwidth(arrays: Sequence[ArrayConfig], psi_f: float,
     """
     if steps < 2:
         raise ConfigError(f"steps must be >= 2, got {steps}")
+    if not all(0.0 < bw < math.inf for bw in bandwidth_range_hz):
+        raise ConfigError("bandwidth_range_hz must be finite and positive, "
+                          f"got {tuple(bandwidth_range_hz)}")
     bws = np.logspace(math.log10(bandwidth_range_hz[0]),
                       math.log10(bandwidth_range_hz[1]), steps)
     columns = [("bandwidth", "Hz")]
@@ -119,7 +140,7 @@ def sweep_improvement_vs_focus(arrays: Sequence[ArrayConfig], b: float, r: float
                                snr: float, n_f: int = 2048,
                                psi_f_step: float = 0.01) -> SweepResult:
     """Capacity improvement ratio as the beam focus moves toward endfire."""
-    grid = np.arange(0.0, 1.0 + psi_f_step / 2.0, psi_f_step)
+    grid = _focus_grid(psi_f_step)
     columns = [("psi_f", "-")]
     columns += [(f"improvement_n{arr.n_antennas}", "-") for arr in arrays]
     bands = {arr.n_antennas: BandConfig(b=b, n_f=n_f, snr=snr) for arr in arrays}
@@ -139,7 +160,7 @@ def sweep_improvement_vs_focus(arrays: Sequence[ArrayConfig], b: float, r: float
 
 def sweep_improvement_max_vs_b(arrays: Sequence[ArrayConfig],
                                b_values: Sequence[float] | None = None,
-                               r: float = math.sqrt(2) / 2, snr: float = 1.0,
+                               r: float = R_3DB, snr: float = 1.0,
                                n_f: int = 2048) -> SweepResult:
     """Worst-focus capacity improvement ratio versus fractional bandwidth."""
     if b_values is None:
@@ -165,7 +186,7 @@ def sweep_improvement_max_vs_b(arrays: Sequence[ArrayConfig],
 
 def sweep_codebook_size_vs_n(b_values: Sequence[float] | None = None,
                              n_values: Sequence[int] | None = None,
-                             r: float = math.sqrt(2) / 2, snr: float = 1.0,
+                             r: float = R_3DB, snr: float = 1.0,
                              psi_m: float = 1.0, n_f: int = 2048) -> SweepResult:
     """Minimum codebook size versus array size, one column per bandwidth.
 
@@ -205,7 +226,7 @@ def verify_facts(fact1_samples: int = 2000, fact2_samples: int = 2000,
                  seed: int = 20240809, n_f: int = 256, snr: float = 1.0,
                  n_range: tuple[int, int] = (4, 128), b_max: float = 0.1,
                  fact3_n_values: Sequence[int] = (16, 32, 64),
-                 fact3_r: float = math.sqrt(2) / 2, fact3_psi_m: float = 1.0,
+                 fact3_r: float = R_3DB, fact3_psi_m: float = 1.0,
                  fact3_tol_b: float = 1e-4,
                  fact3_rel_tol: float = 0.05) -> SweepResult:
     """Randomised verification ledger for the three structural claims.
@@ -223,6 +244,11 @@ def verify_facts(fact1_samples: int = 2000, fact2_samples: int = 2000,
 
     Violating sample points are recorded under ``params["witnesses"]``.
     """
+    if min(fact1_samples, fact2_samples, seed) < 0:
+        raise ConfigError("sample counts and seed must be >= 0, got "
+                          f"{fact1_samples}, {fact2_samples} and {seed}")
+    if not 1e-6 <= b_max < 2.0:  # fact 2 draws b from [1e-6, b_max)
+        raise ConfigError(f"b_max must be in [1e-6, 2), got {b_max}")
     rng = np.random.default_rng(seed)
     witnesses: dict[str, list] = {"fact1": [], "fact2": []}
 

@@ -9,27 +9,27 @@ from __future__ import annotations
 
 from typing import Callable
 
-DEFAULT_TOL = 1e-10
+TOL = 1e-10
 MAX_ITER = 200
 
 
-def bisect(f: Callable[[float], float], good: float, bad: float,
-           tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) -> float:
+def bisect(f: Callable[[float], float], good: float, bad: float) -> float:
     """Root of ``f`` between ``good`` and ``bad``, assuming
     ``f(good) >= 0 > f(bad)``.
 
     The two ends may come in either order, and ``f`` must cross zero once
     between them.  Returns ``bad`` when ``f(bad) >= 0`` (the root sits on
-    the bracket boundary, e.g. the zero-bandwidth degenerate case).
+    the bracket boundary, e.g. the zero-bandwidth degenerate case).  Stops
+    once the bracket is narrower than ``TOL`` or after ``MAX_ITER`` halvings.
     """
     if f(bad) >= 0.0:
         return bad
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         mid = 0.5 * (good + bad)
         if f(mid) >= 0.0:
             good = mid
         else:
             bad = mid
-        if abs(bad - good) < tol:
+        if abs(bad - good) < TOL:
             break
     return 0.5 * (good + bad)

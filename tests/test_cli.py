@@ -4,14 +4,22 @@ import shutil
 import subprocess
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from beamsquint import cli, serialize
+from beamsquint import cli, rerun, serialize
 
 ABSTRACT_DESIGN = [
     "design", "--antennas", "64", "--bandwidth-hz", "2.5e9", "--carrier-hz",
     "73e9", "--subcarriers", "2048", "--snr-db", "0", "--r",
     "0.7071067811865476", "--psi-m", "1", "--format", "json",
 ]
+
+
+FOCUS_SWEEP = ["sweep", "--kind", "improvement-vs-focus", "--n-list", "16",
+               "--frac-bandwidth", "0.03", "--subcarriers", "64"]
+BANDWIDTH_SWEEP = ["sweep", "--kind", "capacity-vs-bandwidth", "--n-list", "16",
+                   "--steps", "3", "--subcarriers", "64"]
 
 
 def run_cli(argv, capsys):
@@ -151,8 +159,29 @@ class TestConfigErrors:
         ["gain", "--antennas", "8", "--x-min", "nan"],
         ["capacity", "--antennas", "16", "--frac-bandwidth", "0.01",
          "--psi-f", "5", "--psi", "3", "--snr-db", "0"],
+        FOCUS_SWEEP + ["--psi-f-step", "0"],
+        FOCUS_SWEEP + ["--psi-f-step", "nan"],
+        FOCUS_SWEEP + ["--psi-f-step", "-0.1"],
+        BANDWIDTH_SWEEP + ["--bw-min-hz", "-1"],
+        BANDWIDTH_SWEEP + ["--bw-min-hz", "0"],
+        BANDWIDTH_SWEEP + ["--psi-f", "nan"],
+        ["bsup", "--antennas", "8", "--snr-db", "0", "--tol-b", "inf"],
+        ["improvement", "--antennas", "16", "--frac-bandwidth", "0.02",
+         "--snr-db", "0", "--psi-f", "nan"],
+        ["verify", "--b-max", "nan"],
+        ["verify", "--b-max", "-1"],
+        ["verify", "--fact1-samples", "-5"],
+        ["verify", "--seed", "-1"],
+        ["sweep", "--kind", "improvement-vs-focus", "--n-list", "",
+         "--frac-bandwidth", "nan", "--format", "json"],
+        ["capacity", "--antennas", "16", "--frac-bandwidth", "0.01",
+         "--psi-f", "0", "--psi", "0", "--snr-db", "4000"],
     ], ids=["snr-nan", "snr-inf", "ct-nan", "tol-b-nan", "x-min-nan",
-            "psi-out-of-range"])
+            "psi-out-of-range", "psi-f-step-0", "psi-f-step-nan",
+            "psi-f-step-negative", "bw-min-negative", "bw-min-0",
+            "sweep-psi-f-nan", "tol-b-inf", "improvement-psi-f-nan",
+            "b-max-nan", "b-max-negative", "fact1-samples-negative",
+            "seed-negative", "unused-nan-b", "snr-db-overflow"])
     def test_non_finite_or_out_of_domain_exits_2(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 2
@@ -235,6 +264,88 @@ class TestOtherCommands:
         assert violations[2.0] == 0.0
 
 
+class TestSweepRerun:
+    @pytest.mark.parametrize("argv", [
+        ["gain", "--antennas", "8", "--steps", "11"],
+        ["sweep", "--kind", "gain-pattern", "--antennas", "8", "--x-min", "-0.5"],
+        BANDWIDTH_SWEEP + ["--carrier-hz", "60e9", "--p-over-sigma2", "1e9"],
+        FOCUS_SWEEP + ["--psi-f-step", "0.1", "--r", "0.6"],
+        ["sweep", "--kind", "improvement-max-vs-b", "--n-list", "8,16",
+         "--b-list", "0,0.03", "--subcarriers", "64", "--snr-db", "3"],
+        ["sweep", "--kind", "codebook-size-vs-n", "--n-list", "8,41,42",
+         "--b-list", "0.0714,0.02", "--subcarriers", "128", "--psi-m", "0.8"],
+        ["verify", "--fact1-samples", "20", "--fact2-samples", "20",
+         "--fact3-n-list", "8,12,16", "--tol-b", "0.1", "--subcarriers", "64"],
+    ], ids=["gain", "gain-pattern", "capacity-vs-bandwidth", "improvement-vs-focus",
+            "improvement-max-vs-b", "codebook-size-vs-n", "verify-facts"])
+    def test_json_params_rerun_to_the_same_output(self, argv, capsys):
+        code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        again = rerun(doc["params"])
+        assert [list(row) for row in again.rows] == doc["rows"]
+        assert serialize.sweep_to_json(again) == out
+
+
+FUZZ_PALETTE = ["nan", "inf", "-inf", "-1", "0", "0.5", "2", "x", ""]
+_POINT_FLAGS = ["--antennas", "--frac-bandwidth", "--bandwidth-hz", "--carrier-hz",
+                "--subcarriers", "--snr-db"]
+# The value flags of every subcommand but verify, whose default sample
+# counts take minutes; --format and --out only choose where output goes.
+FUZZ_FLAGS = {
+    "gain": ["--antennas", "--x-min", "--x-max", "--steps"],
+    "capacity": _POINT_FLAGS + ["--psi-f", "--psi"],
+    "design": _POINT_FLAGS + ["--r", "--ct", "--psi-m"],
+    "improvement": _POINT_FLAGS + ["--r", "--psi-f"],
+    "bsup": ["--antennas", "--n-list", "--r", "--snr-db", "--psi-m", "--tol-b",
+             "--subcarriers"],
+    "sweep": ["--antennas", "--n-list", "--b-list", "--frac-bandwidth", "--x-min",
+              "--x-max", "--steps", "--psi-f", "--psi", "--psi-f-step",
+              "--p-over-sigma2", "--bw-min-hz", "--bw-max-hz", "--carrier-hz", "--r",
+              "--snr-db", "--psi-m", "--subcarriers"],
+}
+# A valid argv of each subcommand in palette values; the fuzz sets, changes
+# or drops up to three of its flags, so a bad value is seen in a context
+# that gets past the other checks.
+_POINT_BASE = {"--antennas": "2", "--frac-bandwidth": "0.5", "--snr-db": "0"}
+FUZZ_BASE = {
+    "gain": {"--antennas": "2"},
+    "capacity": {**_POINT_BASE, "--psi-f": "0.5", "--psi": "0.5"},
+    "design": _POINT_BASE,
+    "improvement": _POINT_BASE,
+    "bsup": {"--antennas": "2", "--snr-db": "0", "--tol-b": "0.5"},
+    "sweep": {"--antennas": "2", "--n-list": "2", "--b-list": "0.5",
+              "--frac-bandwidth": "0.5", "--subcarriers": "2"},
+}
+SWEEP_KINDS = ["gain-pattern", "capacity-vs-bandwidth", "improvement-vs-focus",
+               "improvement-max-vs-b", "codebook-size-vs-n"]
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    changes = draw(st.dictionaries(st.sampled_from(FUZZ_FLAGS[command]),
+                                   st.none() | st.sampled_from(FUZZ_PALETTE),
+                                   max_size=3))
+    argv = [command]
+    if command == "sweep":
+        argv += ["--kind", draw(st.sampled_from(SWEEP_KINDS))]
+    for flag, value in {**FUZZ_BASE[command], **changes}.items():
+        if value is not None:
+            argv += [flag, value]
+    return argv, not changes
+
+
+@settings(derandomize=True, deadline=None, max_examples=1800)
+@given(case=fuzz_argv())
+def test_any_argv_exits_0_2_or_3(case):
+    argv, unchanged = case
+    code = cli.main(argv)
+    assert code in (0, 2, 3)
+    if unchanged:
+        assert code == 0
+
+
 class TestDeterminismAndOutput:
     def test_repeat_runs_are_byte_identical(self, capsys):
         argv = ["capacity", "--antennas", "32", "--frac-bandwidth", "0.03",
@@ -252,6 +363,13 @@ class TestDeterminismAndOutput:
         capsys.readouterr()
         assert code == 0
         assert target.read_bytes() == stdout_text.encode("utf-8")
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        code, out, err = run_cli(["gain", "--antennas", "8", "--steps", "11",
+                                  "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --out: ")
 
     def test_csv_uses_lf_and_full_precision(self, capsys):
         _, out, _ = run_cli(["gain", "--antennas", "8", "--steps", "11"], capsys)
