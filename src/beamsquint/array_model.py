@@ -184,7 +184,9 @@ def _gain_ratio(xs: np.ndarray, n: int) -> np.ndarray:
     ratio = np.sin(0.5 * n * math.pi * xs) / (root_n * safe)
     if np.any(singular):
         # L'Hopital at x = 2k: the ratio tends to sqrt(N) * (-1)^(k*(N-1)).
-        k = np.rint(0.5 * xs).astype(np.int64)
-        sign = np.where((k * (n - 1)) % 2 == 0, 1.0, -1.0)
-        ratio = np.where(singular, root_n * sign, ratio)
+        # Only the singular elements are filled, in place, so a large
+        # array with one singular point costs no full-size temporaries.
+        ratio = np.asarray(ratio)
+        k = np.rint(0.5 * xs[singular]).astype(np.int64)
+        ratio[singular] = np.where((k * (n - 1)) % 2 == 0, root_n, -root_n)
     return ratio

@@ -54,14 +54,13 @@ class BandConfig:
     carrier_hz: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.snr < math.inf:
-            raise ConfigError(f"snr must be finite and positive, got {self.snr}")
+        _require_finite_positive("snr", self.snr)
         # Delegates the b / n_f checks (also warms the ratio cache).
         subcarrier_grid(self.b, self.n_f)
-        if self.bandwidth_hz is not None and self.bandwidth_hz <= 0:
-            raise ConfigError(f"bandwidth_hz must be positive, got {self.bandwidth_hz}")
-        if self.carrier_hz is not None and self.carrier_hz <= 0:
-            raise ConfigError(f"carrier_hz must be positive, got {self.carrier_hz}")
+        if self.bandwidth_hz is not None:
+            _require_finite_positive("bandwidth_hz", self.bandwidth_hz)
+        if self.carrier_hz is not None:
+            _require_finite_positive("carrier_hz", self.carrier_hz)
         if self.bandwidth_hz is not None and self.carrier_hz is not None:
             implied = self.bandwidth_hz / self.carrier_hz
             if abs(implied - self.b) > _REL_TOL_B * max(abs(self.b), implied):
@@ -72,8 +71,7 @@ class BandConfig:
     def from_hz(cls, bandwidth_hz: float, carrier_hz: float, n_f: int,
                 snr: float) -> "BandConfig":
         """Build a band from absolute frequencies; b = bandwidth/carrier."""
-        if carrier_hz <= 0:
-            raise ConfigError(f"carrier_hz must be positive, got {carrier_hz}")
+        _require_finite_positive("carrier_hz", carrier_hz)
         return cls(b=bandwidth_hz / carrier_hz, n_f=n_f, snr=snr,
                    bandwidth_hz=bandwidth_hz, carrier_hz=carrier_hz)
 
@@ -86,6 +84,11 @@ class BandConfig:
     def ratios(self) -> np.ndarray:
         """Subcarrier frequency ratios (read-only, cached)."""
         return _ratio_array(self.b, self.n_f)
+
+
+def _require_finite_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -166,7 +169,8 @@ def capacity_threshold_3db(band: BandConfig, arr: ArrayConfig) -> float:
 
 @lru_cache(maxsize=4096)
 def _gain_halfwidth(r: float, n: int) -> float:
-    """Half-width of the main-lobe interval where gain >= r*sqrt(N)."""
+    """Half-width of the main-lobe interval where gain >= r*sqrt(N); the
+    solver's end of the crossing where the gain still meets the ratio."""
     cfg = ArrayConfig(n)
     target = r * cfg.peak_gain
     return bisect(lambda w: gain_mag(w, cfg) - target, 0.0, cfg.main_lobe_half_span)
@@ -175,10 +179,10 @@ def _gain_halfwidth(r: float, n: int) -> float:
 def gain_region(psi_f: float, r: float, arr: ArrayConfig) -> GainRegion:
     """Main-lobe interval around ``psi_f`` with carrier gain >= r*sqrt(N).
 
-    The half-width solves gain(w) = r*sqrt(N) by bisection within the main
-    lobe; the interval is then clipped to the visible region.  ``r`` below
-    0.25 is rejected: sidelobes would start to qualify and are out of
-    scope for this model.
+    The half-width solves gain(w) = r*sqrt(N) with the bracketed secant
+    solver of :mod:`beamsquint.roots` within the main lobe; the interval is
+    then clipped to the visible region.  ``r`` below 0.25 is rejected:
+    sidelobes would start to qualify and are out of scope for this model.
     """
     if not 0.0 < r < 1.0:
         raise DomainError(f"r must be in (0, 1), got {r}")

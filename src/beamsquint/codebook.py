@@ -10,9 +10,11 @@ smaller codebook wins.
 
 Coverage edges and focus angles have no closed form; each is the root of a
 monotone capacity equation on a bracket of half the no-squint beamwidth and
-is found by bisection.  When the capacity at a required focus cannot reach
-the threshold, no codebook exists for that fractional bandwidth; the
-largest workable bandwidth is itself located by bisection on feasibility.
+is found by the bracketed secant solver of :mod:`beamsquint.roots`, on the
+side of the root where the beam meets c_t exactly.  When the capacity at a
+required focus cannot reach the threshold, no codebook exists for that
+fractional bandwidth; the largest workable bandwidth is itself located by
+bisection on feasibility.
 
 Synthesis is sequential per codebook; distinct designs share no mutable
 state and may run concurrently.
@@ -20,7 +22,6 @@ state and may run concurrently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -108,9 +109,10 @@ def solve_right_edge(psi_f: float, c_t: float, band: BandConfig,
     """Right coverage edge of a beam focused on ``psi_f``.
 
     The squinted capacity decreases from its value at the focus through
-    c_t somewhere inside half a no-squint beamwidth; bisection finds that
-    crossing.  With zero fractional bandwidth the edge sits exactly on the
-    no-squint bracket boundary.
+    c_t somewhere inside half a no-squint beamwidth; the returned edge is
+    the solver's end of that crossing where the capacity still meets c_t.
+    With zero fractional bandwidth the edge sits exactly on the no-squint
+    bracket boundary.
 
     Raises
     ------
@@ -119,11 +121,12 @@ def solve_right_edge(psi_f: float, c_t: float, band: BandConfig,
         local signal that the fractional bandwidth is too large).
     """
     half = beamwidth_nbs(c_t, band, arr) / 2.0
-    if capacity_bs(psi_f, psi_f, band, arr) < c_t:
+    edge = bisect(
+        lambda psi: capacity_bs(psi_f, psi, band, arr) - c_t, psi_f, psi_f + half)
+    if edge is None:
         raise InfeasibleError(
             f"capacity at focus {psi_f} is below the threshold", psi_f)
-    return bisect(
-        lambda psi: capacity_bs(psi_f, psi, band, arr) - c_t, psi_f, psi_f + half)
+    return edge
 
 
 def solve_left_edge(psi_f: float, c_t: float, band: BandConfig,
@@ -148,7 +151,8 @@ def solve_focus_from_left(psi_l: float, c_t: float, band: BandConfig,
 
     As the focus moves right of ``psi_l`` the capacity delivered at
     ``psi_l`` falls; the focus is the point where it hits c_t, bracketed
-    within half a no-squint beamwidth of ``psi_l``.
+    within half a no-squint beamwidth of ``psi_l``, taken on the side where
+    the capacity at ``psi_l`` still meets c_t.
 
     Raises
     ------
@@ -157,11 +161,12 @@ def solve_focus_from_left(psi_l: float, c_t: float, band: BandConfig,
         there (no bracketed root exists).
     """
     half = beamwidth_nbs(c_t, band, arr) / 2.0
-    if capacity_bs(psi_l, psi_l, band, arr) < c_t:
+    focus = bisect(
+        lambda pf: capacity_bs(pf, psi_l, band, arr) - c_t, psi_l, psi_l + half)
+    if focus is None:
         raise InfeasibleError(
             f"no focus can deliver the threshold at left edge {psi_l}", psi_l)
-    return bisect(
-        lambda pf: capacity_bs(pf, psi_l, band, arr) - c_t, psi_l, psi_l + half)
+    return focus
 
 
 def _grow_chain(start_right: float, psi_m: float, c_t: float, band: BandConfig,
@@ -332,10 +337,11 @@ def improvement_max(r: float, band: BandConfig, arr: ArrayConfig,
 
 
 def _focus_grid(step: float) -> np.ndarray:
-    """Focus angles 0, step, 2*step, ... up to 1 (within half a step)."""
+    """Focus angles 0, step, 2*step, ... up to endfire at 1, none past it."""
     if not 0.0 < step <= 1.0:
         raise ConfigError(f"focus grid step must be in (0, 1], got {step}")
-    return np.arange(0.0, 1.0 + step / 2.0, step)
+    grid = np.arange(0.0, 1.0 + step / 2.0, step)
+    return grid[grid <= 1.0]
 
 
 def estimate_bsup(arr: ArrayConfig, r: float, snr: float, psi_m: float = 1.0,
@@ -346,8 +352,9 @@ def estimate_bsup(arr: ArrayConfig, r: float, snr: float, psi_m: float = 1.0,
     bandwidth is always feasible.  Feasibility is monotone in b across the
     sampled parameter space, which the test suite checks empirically.
     """
-    if not 0.0 < tol_b < math.inf:
-        raise ConfigError(f"tol_b must be finite and positive, got {tol_b}")
+    if not 0.0 < tol_b < 2.0:
+        raise ConfigError(
+            f"tol_b must be in (0, 2), the width of the b bracket, got {tol_b}")
 
     def feasible(b: float) -> bool:
         band = BandConfig(b=b, n_f=n_f, snr=snr)

@@ -1,35 +1,77 @@
-"""Bisection on monotone scalar functions.
+"""Bracketed root finding on monotone scalar functions.
 
 The solvers in this package only ever bracket a root between a point known
-to be above a threshold and one known to be below it, so plain bisection is
-sufficient and keeps every run bit-reproducible.
+to be above a threshold and one known to be below it.  Each step takes the
+Anderson-Bjorck secant point of the bracket, which converges superlinearly
+on the smooth capacity and gain curves, and projects it into the ITP
+interval around the midpoint (Oliveira & Takahashi, ACM TOMS 47(1), 2020).
+The projection caps the step count at bisection's plus ``SLACK`` on any
+monotone function.  The steps are deterministic, so every run is
+bit-reproducible.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 TOL = 1e-10
-MAX_ITER = 200
+# Steps allowed beyond bisection's count.  The projection leaves a secant
+# point free while the bracket can still close within bisection's count
+# plus this margin; on the package's capacity roots a margin of 2 costs no
+# step that a larger one saves, and 1 does.
+SLACK = 2
 
 
-def bisect(f: Callable[[float], float], good: float, bad: float) -> float:
-    """Root of ``f`` between ``good`` and ``bad``, assuming
-    ``f(good) >= 0 > f(bad)``.
+def bisect(f: Callable[[float], float], good: float, bad: float) -> float | None:
+    """Point of the bracket ``[good, bad]`` that meets ``f >= 0`` within
+    ``TOL`` of the crossing, assuming ``f(good) >= 0 > f(bad)``.
 
     The two ends may come in either order, and ``f`` must cross zero once
-    between them.  Returns ``bad`` when ``f(bad) >= 0`` (the root sits on
-    the bracket boundary, e.g. the zero-bandwidth degenerate case).  Stops
-    once the bracket is narrower than ``TOL`` or after ``MAX_ITER`` halvings.
+    between them.  Returns ``None`` when ``f(good) < 0`` (no bracketed
+    root), and ``bad`` when ``f(bad) >= 0`` (the root sits on the bracket
+    boundary, e.g. the zero-bandwidth degenerate case).  Otherwise returns
+    the end of the final bracket at which ``f >= 0``, once the bracket is at
+    most ``TOL`` wide; that takes at most ``ceil(log2(|bad - good| / TOL))
+    + SLACK`` steps of one evaluation each.
     """
-    if f(bad) >= 0.0:
+    fg = f(good)
+    if fg < 0.0:
+        return None
+    fb = f(bad)
+    if fb >= 0.0:
         return bad
-    for _ in range(MAX_ITER):
-        mid = 0.5 * (good + bad)
-        if f(mid) >= 0.0:
-            good = mid
-        else:
-            bad = mid
-        if abs(bad - good) < TOL:
+    width = abs(bad - good)
+    n_max = max(math.ceil(math.log2(width / TOL)), 0) + SLACK
+    side = 0  # +1 / -1: the previous step moved the good / bad end
+    for j in range(n_max):
+        if width <= TOL:
             break
-    return 0.5 * (good + bad)
+        # Both limits are symmetric about the midpoint: ITP's radius, and
+        # TOL/2 inside either end, so that a secant point already within
+        # TOL/2 of the crossing closes the bracket with the next step.
+        mid = 0.5 * (good + bad)
+        radius = max(min(TOL * 2.0 ** (n_max - j - 1) - 0.5 * width,
+                         0.5 * (width - TOL)), 0.0)
+        x = (good * fb - bad * fg) / (fb - fg)
+        if not abs(x - mid) <= radius:  # also a NaN secant point
+            x = mid + math.copysign(radius, x - mid)
+        fx = f(x)
+        if fx >= 0.0:
+            if side > 0:
+                fb *= _damping(fx, fg)
+            good, fg, side = x, fx, 1
+        else:
+            if side < 0:
+                fg *= _damping(fx, fb)
+            bad, fb, side = x, fx, -1
+        width = abs(bad - good)
+    return good
+
+
+def _damping(f_new: float, f_old: float) -> float:
+    """Anderson-Bjorck factor for the value kept at the unmoved end after
+    the other end moved twice running; Illinois's 1/2 when it is not
+    positive."""
+    m = 1.0 - f_new / f_old if f_old else 0.0
+    return m if m > 0.0 else 0.5

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,3 +185,22 @@ class TestSubcarrierGrid:
     def test_invalid_configs(self, b, n_f):
         with pytest.raises(ConfigError):
             subcarrier_grid(b, n_f)
+
+
+class TestGainMemory:
+    def test_singular_point_adds_no_full_size_temporaries(self):
+        # The L'Hopital fill touches only the singular elements.
+        cfg = ArrayConfig(32)
+        plain = np.linspace(0.1, 0.9, 500 * 2048).reshape(500, 2048)
+        singular = plain.copy()
+        singular[10, 10] = 0.0
+
+        def peak(x):
+            tracemalloc.start()
+            try:
+                gain_mag(x, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak(singular) <= peak(plain) + 64 * 1024
+        assert gain_mag(singular, cfg)[10, 10] == math.sqrt(32)

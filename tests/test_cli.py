@@ -176,12 +176,16 @@ class TestConfigErrors:
          "--frac-bandwidth", "nan", "--format", "json"],
         ["capacity", "--antennas", "16", "--frac-bandwidth", "0.01",
          "--psi-f", "0", "--psi", "0", "--snr-db", "4000"],
+        ["bsup", "--antennas", "8", "--snr-db", "0", "--tol-b", "2"],
+        ["design", "--antennas", "16", "--bandwidth-hz", "1e9", "--carrier-hz",
+         "inf", "--snr-db", "0", "--subcarriers", "64", "--psi-m", "0.1"],
     ], ids=["snr-nan", "snr-inf", "ct-nan", "tol-b-nan", "x-min-nan",
             "psi-out-of-range", "psi-f-step-0", "psi-f-step-nan",
             "psi-f-step-negative", "bw-min-negative", "bw-min-0",
             "sweep-psi-f-nan", "tol-b-inf", "improvement-psi-f-nan",
             "b-max-nan", "b-max-negative", "fact1-samples-negative",
-            "seed-negative", "unused-nan-b", "snr-db-overflow"])
+            "seed-negative", "unused-nan-b", "snr-db-overflow",
+            "tol-b-bracket-width", "carrier-inf"])
     def test_non_finite_or_out_of_domain_exits_2(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 2

@@ -216,6 +216,19 @@ class TestDesignCodebook:
         assert cb.beams[0].left <= -0.5
         assert cb.beams[-1].right >= 0.5
 
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("units", ["dimensionless", "hz"])
+    def test_every_beam_meets_the_threshold_exactly(self, n, units):
+        # Each edge and focus is the solver's end of its root at which the
+        # capacity meets c_t, so no slack is needed in either unit system.
+        arr = ArrayConfig(n)
+        band = (band_for(2.5 / 73) if units == "dimensionless"
+                else BandConfig.from_hz(2.5e9, 73e9, n_f=2048, snr=1.0))
+        cb = design_codebook(1.0, threshold(band, arr), band, arr)
+        for beam in cb.beams:
+            assert capacity_bs(beam.focus, beam.left, band, arr) >= cb.c_t, beam
+            assert capacity_bs(beam.focus, beam.right, band, arr) >= cb.c_t, beam
+
 
 class TestCoverageCheck:
     def test_designed_codebook_covers(self):
@@ -327,6 +340,12 @@ class TestBandwidthLimit:
         assert not report.feasible
         assert report.failing_focus is not None
         assert report.size_if_feasible is None
+
+    @pytest.mark.parametrize("tol_b", [0.0, -1.0, 2.0, math.inf, math.nan])
+    def test_tol_b_must_lie_inside_the_bracket(self, tol_b):
+        # The b bracket is [0, 2); a wider tolerance would make no probe.
+        with pytest.raises(ConfigError):
+            estimate_bsup(ArrayConfig(8), SQRT2_OVER_2, snr=1.0, tol_b=tol_b, n_f=64)
 
     def test_fit_recovers_exact_inverse_law(self):
         fit = fit_bsup_constant([16, 32, 64], SQRT2_OVER_2, snr=1.0,

@@ -133,6 +133,20 @@ class TestImprovementVsFocusSweep:
         assert last[0] == pytest.approx(1.0, abs=1e-12)
         assert last[3] == pytest.approx(0.178, abs=0.01)
 
+    @pytest.mark.parametrize("step", [0.3, 0.6, 1.0])
+    def test_focus_grid_stops_at_endfire(self, step):
+        sweep = sweep_improvement_vs_focus([ArrayConfig(2)], b=0.03,
+                                           r=SQRT2_OVER_2, snr=1.0, n_f=64,
+                                           psi_f_step=step)
+        foci = [row[0] for row in sweep.rows]
+        assert max(foci) <= 1.0
+        assert foci == pytest.approx([k * step for k in range(len(foci))])
+        assert 1.0 - foci[-1] < step
+
+    def test_default_focus_grid_ends_exactly_at_endfire(self, fig4_sweep):
+        assert len(fig4_sweep.rows) == 101
+        assert fig4_sweep.rows[-1][0] == 1.0
+
 
 class TestImprovementMaxVsBSweep:
     def test_zero_bandwidth_row(self, fig5_sweep):
