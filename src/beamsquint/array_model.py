@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -123,14 +122,6 @@ def steering_phases(psi_f: float, cfg: ArrayConfig) -> np.ndarray:
     return phases
 
 
-@lru_cache(maxsize=256)
-def _ratio_array(b: float, n_f: int) -> np.ndarray:
-    n = np.arange(n_f)
-    ratios = 1.0 + (2 * n - n_f + 1) * b / (2 * n_f)
-    ratios.flags.writeable = False
-    return ratios
-
-
 def subcarrier_grid(b: float, n_f: int) -> SubcarrierGrid:
     """Frequency-ratio grid of ``n_f`` subcarriers at fractional bandwidth b.
 
@@ -146,7 +137,11 @@ def subcarrier_grid(b: float, n_f: int) -> SubcarrierGrid:
         raise ConfigError(f"fractional bandwidth must be in [0, 2), got {b}")
     if n_f < 2 or n_f % 2 != 0:
         raise ConfigError(f"n_f must be an even integer >= 2, got {n_f}")
-    return SubcarrierGrid(ratios=_ratio_array(float(b), int(n_f)), b=float(b))
+    b, n_f = float(b), int(n_f)
+    n = np.arange(n_f)
+    ratios = 1.0 + (2 * n - n_f + 1) * b / (2 * n_f)
+    ratios.flags.writeable = False
+    return SubcarrierGrid(ratios=ratios, b=b)
 
 
 def gain(x: ArrayLike, cfg: ArrayConfig) -> complex | np.ndarray:

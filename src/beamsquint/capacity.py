@@ -11,15 +11,16 @@ the band carries an absolute bandwidth and per unit bandwidth otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Union
 
 import numpy as np
 
-from .array_model import ArrayConfig, _ratio_array, gain_mag, subcarrier_grid
+from .array_model import ArrayConfig, gain_mag, subcarrier_grid
 from .errors import ConfigError, DomainError, InfeasibleError
 from .roots import bisect
+from .workers import ordered_map
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -32,9 +33,10 @@ R_3DB = math.sqrt(2.0) / 2.0
 
 _REL_TOL_B = 1e-12
 
-# Arrival angles per block in the vector path of capacity_bs; bounds the
-# angles x subcarriers temporaries at 2048 * n_f floats.
-_ANGLE_CHUNK = 2048
+# Angles x subcarriers per block in the vector path of capacity_bs: 2**16
+# floats (512 KiB, 32 angles at 2048 subcarriers), so that the few
+# temporaries alive at once stay in a core's L2 cache.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,8 @@ class BandConfig:
     ``snr`` is the ratio of total received power to in-band noise power,
     P/(B*sigma^2).  When ``bandwidth_hz`` is absent all capacities are
     reported per unit bandwidth.  If both absolute frequencies are given
-    they must be consistent with ``b``.
+    they must be consistent with ``b``.  ``ratios``, the subcarrier
+    frequency ratios (read-only), is computed once from ``b`` and ``n_f``.
     """
 
     b: float
@@ -52,11 +55,12 @@ class BandConfig:
     snr: float
     bandwidth_hz: float | None = None
     carrier_hz: float | None = None
+    ratios: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_finite_positive("snr", self.snr)
-        # Delegates the b / n_f checks (also warms the ratio cache).
-        subcarrier_grid(self.b, self.n_f)
+        # subcarrier_grid also checks b and n_f.
+        object.__setattr__(self, "ratios", subcarrier_grid(self.b, self.n_f).ratios)
         if self.bandwidth_hz is not None:
             _require_finite_positive("bandwidth_hz", self.bandwidth_hz)
         if self.carrier_hz is not None:
@@ -80,11 +84,6 @@ class BandConfig:
         """Absolute bandwidth, or 1.0 in dimensionless mode."""
         return self.bandwidth_hz if self.bandwidth_hz is not None else 1.0
 
-    @property
-    def ratios(self) -> np.ndarray:
-        """Subcarrier frequency ratios (read-only, cached)."""
-        return _ratio_array(self.b, self.n_f)
-
 
 def _require_finite_positive(name: str, value: float) -> None:
     if not 0.0 < value < math.inf:
@@ -106,40 +105,61 @@ class GainRegion:
         return self.hi - self.lo
 
 
-def capacity_bs(psi_f: float, psi: ArrayLike, band: BandConfig,
+def capacity_bs(psi_f: ArrayLike, psi: ArrayLike, band: BandConfig,
                 arr: ArrayConfig) -> float | np.ndarray:
     """Channel capacity of a squinting beam focused on ``psi_f`` at arrival
     angle ``psi``.
 
     Averages the per-subcarrier Shannon rates, each evaluated at its
-    squinted angle.  ``psi`` may be an array, in which case one capacity
-    per entry is returned, computed in blocks of 2048 angles to bound
-    memory.  At zero fractional bandwidth the subcarrier grid
-    collapses and this is exactly :func:`capacity_nbs`.
+    squinted angle.  ``psi_f`` and ``psi`` broadcast against each other,
+    so each angle may carry its own focus; two scalars give a float and
+    anything else an array of the broadcast shape.  The array path works
+    in blocks of about 2**16 angle-subcarrier pairs, which keeps each
+    block in cache, and spreads the blocks over up to
+    ``BEAMSQUINT_THREADS`` threads (capped at the usable cores); every
+    entry is bit-identical to the scalar call at that angle and focus.
+    At zero fractional bandwidth the subcarrier grid collapses and this is
+    exactly :func:`capacity_nbs`.
     """
     if band.b == 0.0:
         return capacity_nbs(psi_f, psi, band, arr)
+    pf, ps = np.asarray(psi_f, dtype=float), np.asarray(psi, dtype=float)
+    if pf.ndim == 0 and ps.ndim == 0:
+        g2 = gain_mag(band.ratios * float(ps) - float(pf), arr) ** 2
+        return float(band.bandwidth / band.n_f * np.sum(np.log2(1.0 + band.snr * g2)))
+    pf, ps = np.broadcast_arrays(pf, ps)
+    return _capacity_rows(pf.ravel(), ps.ravel(), band, arr).reshape(ps.shape)
+
+
+def _capacity_rows(pf: np.ndarray, ps: np.ndarray, band: BandConfig,
+                   arr: ArrayConfig, workers: int | None = None) -> np.ndarray:
+    """Squinted capacity at each (pf[i], ps[i]), block by block on
+    ``workers`` threads (by default the package's thread rule); each block
+    writes its own slice of the result."""
     xi = band.ratios
-    ps = np.asarray(psi, dtype=float)
     scale = band.bandwidth / band.n_f
-    if ps.ndim == 0:
-        g2 = gain_mag(xi * float(ps) - psi_f, arr) ** 2
-        return float(scale * np.sum(np.log2(1.0 + band.snr * g2)))
+    rows = max(1, _BLOCK_ELEMENTS // band.n_f)
     out = np.empty(len(ps))
-    for i in range(0, len(ps), _ANGLE_CHUNK):
-        block = ps[i:i + _ANGLE_CHUNK]
-        g2 = gain_mag(xi[np.newaxis, :] * block[:, np.newaxis] - psi_f, arr) ** 2
-        out[i:i + _ANGLE_CHUNK] = scale * np.sum(np.log2(1.0 + band.snr * g2), axis=1)
+
+    def block(i: int) -> None:
+        s = slice(i, i + rows)
+        g2 = gain_mag(xi * ps[s, np.newaxis] - pf[s, np.newaxis], arr) ** 2
+        out[s] = scale * np.sum(np.log2(1.0 + band.snr * g2), axis=1)
+
+    ordered_map(block, range(0, len(ps), rows), workers)
     return out
 
 
-def capacity_nbs(psi_f: float, psi: ArrayLike, band: BandConfig,
+def capacity_nbs(psi_f: ArrayLike, psi: ArrayLike, band: BandConfig,
                  arr: ArrayConfig) -> float | np.ndarray:
-    """Capacity without squint: every subcarrier sees the carrier pattern."""
-    ps = np.asarray(psi, dtype=float)
-    g2 = gain_mag(ps - psi_f, arr) ** 2
+    """Capacity without squint: every subcarrier sees the carrier pattern.
+    ``psi_f`` and ``psi`` broadcast as in :func:`capacity_bs`."""
+    # float_power squares with the C library's pow, as ** does on the float
+    # a scalar gain_mag returns; an array's ** 2 is an exact square, which
+    # can differ in the last bit, and arrays must match scalar calls.
+    g2 = np.float_power(gain_mag(np.asarray(psi, dtype=float) - psi_f, arr), 2)
     out = band.bandwidth * np.log2(1.0 + band.snr * g2)
-    if ps.ndim == 0:
+    if np.ndim(out) == 0:
         return float(out)
     return out
 

@@ -22,6 +22,7 @@ state and may run concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -268,13 +269,14 @@ def coverage_check(cb: Codebook, band: BandConfig, arr: ArrayConfig,
 
     True iff every grid angle has at least one beam whose squinted capacity
     meets ``c_t * (1 - 1e-6)`` there; the slack is relative, so the verdict
-    is the same in bit/s and per unit bandwidth.  Each point is first
-    tested against the beam with the nearest focus (a speed heuristic
-    only); points that fail fall back to an exhaustive scan over all beams.
+    is the same in bit/s and per unit bandwidth.  The grid is ``i *
+    grid_step`` for every integer ``i`` with ``|i * grid_step| <= psi_m``,
+    plus ``+-psi_m`` themselves, so it is exactly symmetric and holds 0.
+    Every point is first tested against the beam with the nearest focus (a
+    speed heuristic only), all in one batched :func:`capacity_bs` call;
+    each point that fails is tested against every beam in one more call.
     """
-    if grid_step <= 0.0:
-        raise ConfigError(f"grid_step must be positive, got {grid_step}")
-    grid = np.arange(-cb.psi_m, cb.psi_m + grid_step / 2.0, grid_step)
+    grid = _coverage_grid(cb.psi_m, grid_step)
     foci = np.array([beam.focus for beam in cb.beams])
     floor = cb.c_t * (1.0 - _COVERAGE_RTOL)
 
@@ -282,20 +284,19 @@ def coverage_check(cb: Codebook, band: BandConfig, arr: ArrayConfig,
     left = np.clip(idx - 1, 0, len(foci) - 1)
     nearest = np.where(np.abs(foci[left] - grid) <= np.abs(foci[idx] - grid),
                        left, idx)
+    caps = capacity_bs(foci[nearest], grid, band, arr)
+    return all(np.any(capacity_bs(foci, psi, band, arr) >= floor)
+               for psi in grid[caps < floor])
 
-    unresolved: list[float] = []
-    for i in range(len(cb.beams)):
-        pts = grid[nearest == i]
-        if pts.size == 0:
-            continue
-        caps = capacity_bs(cb.beams[i].focus, pts, band, arr)
-        unresolved.extend(pts[caps < floor])
 
-    for psi in unresolved:
-        if not any(capacity_bs(beam.focus, psi, band, arr) >= floor
-                   for beam in cb.beams):
-            return False
-    return True
+def _coverage_grid(psi_m: float, step: float) -> np.ndarray:
+    """Sorted ``i * step`` for every integer ``i`` with ``|i * step| <=
+    psi_m``, plus ``+-psi_m``."""
+    if not 0.0 < step < math.inf:
+        raise ConfigError(f"grid_step must be finite and positive, got {step}")
+    n = math.floor(psi_m / step) + 1  # past the last i, however the division rounds
+    grid = np.arange(-n, n + 1) * step
+    return np.unique(np.concatenate(([-psi_m, psi_m], grid[np.abs(grid) <= psi_m])))
 
 
 def traditional_min_capacity(psi_f: float, r: float, band: BandConfig,

@@ -11,8 +11,6 @@ of scheduling.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -24,6 +22,7 @@ from .capacity import (R_3DB, BandConfig, capacity_bs, capacity_nbs,
 from .codebook import (_focus_grid, assess_feasibility, estimate_bsup,
                        improvement_max, improvement_ratio)
 from .errors import ConfigError
+from .workers import ordered_map
 
 INFEASIBLE_MARKER = -1.0
 
@@ -59,22 +58,6 @@ def _has_non_finite(value) -> bool:
     return isinstance(value, (float, np.floating)) and not math.isfinite(value)
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("BEAMSQUINT_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _ordered_map(fn: Callable, items: Sequence) -> list:
-    workers = _max_workers()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def sweep_gain_pattern(arr: ArrayConfig, x_range: tuple[float, float] = (-1.0, 1.0),
                        steps: int = 1001) -> SweepResult:
     """Dense samples of the array gain magnitude over ``x_range``."""
@@ -87,7 +70,7 @@ def sweep_gain_pattern(arr: ArrayConfig, x_range: tuple[float, float] = (-1.0, 1
     return SweepResult(
         name="gain-pattern",
         columns=(("x", "-"), ("gain", "-")),
-        rows=tuple((float(x), float(m)) for x, m in zip(xs, mags)),
+        rows=tuple(zip(xs.tolist(), mags.tolist())),
         params={"sweep": "gain-pattern", "n_antennas": arr.n_antennas,
                 "x_range": [float(x_range[0]), float(x_range[1])], "steps": int(steps)})
 
@@ -123,7 +106,7 @@ def sweep_capacity_vs_bandwidth(arrays: Sequence[ArrayConfig], psi_f: float,
             row.append(capacity_nbs(psi_f, psi, band, arr))
         return tuple(row)
 
-    rows = _ordered_map(point, [float(b) for b in bws])
+    rows = ordered_map(point, [float(b) for b in bws])
     return SweepResult(
         name="capacity-vs-bandwidth", columns=tuple(columns), rows=tuple(rows),
         params={"sweep": "capacity-vs-bandwidth",
@@ -149,7 +132,7 @@ def sweep_improvement_vs_focus(arrays: Sequence[ArrayConfig], b: float, r: float
         return (pf,) + tuple(improvement_ratio(pf, r, bands[arr.n_antennas], arr)
                              for arr in arrays)
 
-    rows = _ordered_map(point, [float(p) for p in grid])
+    rows = ordered_map(point, [float(p) for p in grid])
     return SweepResult(
         name="improvement-vs-focus", columns=tuple(columns), rows=tuple(rows),
         params={"sweep": "improvement-vs-focus",
@@ -176,7 +159,7 @@ def sweep_improvement_max_vs_b(arrays: Sequence[ArrayConfig],
             row.append(improvement_max(r, band, arr))
         return tuple(row)
 
-    rows = _ordered_map(point, bs)
+    rows = ordered_map(point, bs)
     return SweepResult(
         name="improvement-max-vs-b", columns=tuple(columns), rows=tuple(rows),
         params={"sweep": "improvement-max-vs-b",
@@ -214,7 +197,7 @@ def sweep_codebook_size_vs_n(b_values: Sequence[float] | None = None,
                        else INFEASIBLE_MARKER)
         return tuple(row)
 
-    rows = _ordered_map(row_for, ns)
+    rows = ordered_map(row_for, ns)
     return SweepResult(
         name="codebook-size-vs-n", columns=tuple(columns), rows=tuple(rows),
         params={"sweep": "codebook-size-vs-n", "b_values": bs, "n_values": ns,

@@ -1,12 +1,21 @@
+import gc
 import math
+import sys
+import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import beamsquint
 
 from beamsquint import (ArrayConfig, BandConfig, ConfigError, DomainError,
                         InfeasibleError, beamwidth_nbs, capacity_bs, capacity_nbs,
                         capacity_threshold, capacity_threshold_3db, gain_region,
                         spectral_efficiency_bs, squint_safe_range)
+from beamsquint.capacity import _capacity_rows
+from beamsquint.workers import usable_cores
 
 from oracles import ref_halfwidth
 
@@ -48,6 +57,27 @@ class TestBandConfig:
         with pytest.raises(ConfigError):
             BandConfig(**kwargs)
 
+    def test_distinct_bands_hold_no_package_memory(self):
+        # Each band owns its subcarrier ratios; nothing the package keeps
+        # may grow with the number of distinct bands seen.
+        arr = ArrayConfig(16)
+        capacity_bs(0.1, 0.2, BandConfig(b=0.01, n_f=2048, snr=1.0), arr)
+        pkg = tracemalloc.Filter(True, str(Path(beamsquint.__file__).parent / "*"))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot().filter_traces([pkg])
+            for i in range(1000):
+                band = BandConfig(b=0.02 + i * 1e-6, n_f=2048, snr=1.0)
+                capacity_bs(0.1, 0.2, band, arr)
+            del band
+            gc.collect()
+            after = tracemalloc.take_snapshot().filter_traces([pkg])
+        finally:
+            tracemalloc.stop()
+        grown = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+        assert grown < 2048 * 8  # less than one band's ratios
+
 
 class TestCapacityBs:
     def test_peak_at_broadside(self, arr16):
@@ -75,16 +105,74 @@ class TestCapacityBs:
         for p, v in zip(psis, vec):
             assert v == capacity_bs(0.2, float(p), band, arr64)
 
-    @pytest.mark.parametrize("count", [2047, 2048, 2049, 5000])
-    def test_chunked_vector_matches_slices(self, arr16, count):
-        # The vector path works in blocks of 2048 angles; block edges must
-        # not change a single bit.
-        band = BandConfig(b=0.05, n_f=64, snr=1.0)
+    @pytest.mark.parametrize("n_f, count", [
+        pytest.param(64, 2047, id="2047"),
+        pytest.param(64, 2048, id="2048"),
+        pytest.param(64, 2049, id="2049"),
+        pytest.param(64, 5000, id="5000"),
+        # 2**16 // n_f angles per block: at, around and past block edges.
+        *(pytest.param(n_f, count, id=f"nf{n_f}-{count}")
+          for n_f, rows in ((256, 256), (2048, 32))
+          for count in (1, rows - 1, rows, rows + 1, 2 * rows, 3 * rows + 1)),
+    ])
+    def test_chunked_vector_matches_slices(self, arr16, n_f, count):
+        # The vector path works in blocks of angles; block edges must not
+        # change a single bit, and every entry is the per-angle scalar call,
+        # also with one focus per angle, at the singular point x = 0
+        # (psi = psi_f = 0) and at b = 0.
+        band = BandConfig(b=0.05, n_f=n_f, snr=1.0)
         psis = np.linspace(-1.0, 1.0, count)
         slices = [capacity_bs(0.3, psis[i:i + 7], band, arr16)
                   for i in range(0, count, 7)]
         assert np.array_equal(capacity_bs(0.3, psis, band, arr16),
                               np.concatenate(slices))
+        foci = np.linspace(0.3, -0.3, count)
+        foci[count // 2] = psis[count // 2] = 0.0
+        for b in (0.05, 0.0):
+            band = BandConfig(b=b, n_f=n_f, snr=1.0)
+            for focus in (0.3, foci):
+                scalar = [capacity_bs(float(f), float(p), band, arr16)
+                          for f, p in zip(np.broadcast_to(focus, psis.shape), psis)]
+                assert capacity_bs(focus, psis, band, arr16).tolist() == scalar
+
+    def test_focus_broadcasts_against_angle(self, arr16):
+        band = BandConfig(b=0.05, n_f=256, snr=1.0)
+        foci = np.array([-0.2, 0.0, 0.4])
+        for fn in (capacity_bs, capacity_nbs):
+            assert isinstance(fn(0.1, 0.2, band, arr16), float)
+            row = fn(foci, 0.2, band, arr16)
+            assert row.shape == (3,)
+            assert row.tolist() == [fn(float(f), 0.2, band, arr16) for f in foci]
+            grid = fn(foci[:, np.newaxis], np.array([0.1, 0.3]), band, arr16)
+            assert grid.shape == (3, 2)
+            assert grid[2, 1] == fn(0.4, 0.3, band, arr16)
+
+    def test_block_pool_is_exact_under_thread_stress(self, arr64):
+        # More threads than cores and a tiny switch interval: each block
+        # must still land in its own slice of the result.
+        band = BandConfig(b=0.05, n_f=2048, snr=1.0)
+        psis = np.linspace(-1.0, 1.0, 16 * 32 + 5)
+        foci = np.linspace(0.5, -0.5, len(psis))
+        serial = _capacity_rows(foci, psis, band, arr64, workers=1)
+        results = []
+
+        def stress():
+            for _ in range(3):
+                results.append(_capacity_rows(foci, psis, band, arr64,
+                                              workers=usable_cores() + 6))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=stress)
+            worker.start()
+            worker.join(timeout=120)
+            assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        assert len(results) == 3
+        for threaded in results:
+            assert np.array_equal(threaded, serial)
 
     def test_reflection_invariance_is_exact(self, arr64):
         band = BandConfig(b=0.03, n_f=512, snr=1.0)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from beamsquint import (ArrayConfig, BandConfig, Beam, Codebook, ConfigError,
@@ -9,6 +10,7 @@ from beamsquint import (ArrayConfig, BandConfig, Beam, Codebook, ConfigError,
                         estimate_bsup, fit_bsup_constant, improvement_max,
                         improvement_ratio, solve_focus_from_left, solve_left_edge,
                         solve_right_edge, traditional_min_capacity)
+from beamsquint.codebook import _coverage_grid
 
 from oracles import ref_halfwidth, scan_first_at_or_above, scan_last_at_or_above
 
@@ -266,8 +268,32 @@ class TestCoverageCheck:
         arr = ArrayConfig(16)
         band = band_for(0.01)
         cb = design_codebook(1.0, threshold(band, arr), band, arr)
-        with pytest.raises(ConfigError):
-            coverage_check(cb, band, arr, grid_step=0.0)
+        for step in (0.0, -1e-3, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                coverage_check(cb, band, arr, grid_step=step)
+
+    def test_verdict_does_not_depend_on_beam_order(self):
+        # With the beams reversed the nearest-focus guess is wrong for most
+        # points; the all-beam fallback must still find each point's beam.
+        arr = ArrayConfig(16)
+        band = band_for(0.0179, n_f=256)
+        cb = design_codebook(1.0, threshold(band, arr), band, arr)
+        shuffled = Codebook(beams=cb.beams[::-1], psi_m=cb.psi_m, c_t=cb.c_t,
+                            parity=cb.parity)
+        assert coverage_check(shuffled, band, arr, grid_step=1e-2)
+
+    @pytest.mark.parametrize("psi_m, step, count", [
+        (1.0, 1e-4, 20001), (1.0, 1e-3, 2001), (1.0, 0.3, 9), (0.5, 0.3, 5),
+        (0.7, 0.07, 21), (0.25, 1.0, 3)])
+    def test_grid_is_symmetric_and_holds_zero(self, psi_m, step, count):
+        grid = _coverage_grid(psi_m, step)
+        assert len(grid) == count
+        assert grid[0] == -psi_m and grid[-1] == psi_m
+        assert 0.0 in grid
+        assert np.array_equal(grid, -grid[::-1])
+        assert np.all(np.diff(grid) > 0)
+        inner = grid[np.abs(grid) < psi_m]
+        assert np.array_equal(inner, np.rint(inner / step) * step)
 
 
 class TestImprovement:

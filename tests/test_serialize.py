@@ -1,12 +1,17 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from beamsquint import ArrayConfig, BandConfig, capacity_threshold_3db, design_codebook
 from beamsquint.experiments import SweepResult
 from beamsquint.serialize import (codebook_to_csv, codebook_to_json, format_float,
                                   sweep_to_csv, sweep_to_json, to_json)
+
+# Rows of Python and numpy floats at the edges of the float range.
+EDGE_ROWS = ((-0.0, 0.0), (5e-324, -5e-324), (1.7976931348623157e308, 1 / 3),
+             (np.float64(-2.5e-300), np.float64(math.pi)), ())
 
 
 def small_sweep():
@@ -47,6 +52,33 @@ class TestToJson:
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             to_json({"x": object()})
+
+
+class TestFloatTables:
+    # Float rows and lists take a one-format-per-row path; its bytes must be
+    # those of format_float, value by value.
+    def test_rows_match_format_float(self):
+        sr = SweepResult(name="edges", columns=(("x", "-"), ("y", "-")),
+                         rows=EDGE_ROWS, params={})
+        lines = [",".join(format_float(v) for v in row) for row in EDGE_ROWS]
+        assert sweep_to_csv(sr).split("\n")[1:] == lines + [""]
+        rows = ["[" + ", ".join(format_float(v) for v in row) + "]" for row in EDGE_ROWS]
+        assert sweep_to_json(sr).endswith(
+            '"rows": [\n    ' + ",\n    ".join(rows) + "\n  ]\n}\n")
+
+    def test_float_list_matches_format_float(self):
+        for row in EDGE_ROWS:
+            expected = "[" + ", ".join(format_float(v) for v in row) + "]\n"
+            assert to_json(list(row)) == expected
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_still_rejected(self, bad):
+        with pytest.raises(ValueError):
+            to_json([1.0, bad])
+        with pytest.raises(ValueError):
+            sweep_to_csv(SweepResult(name="bad", columns=(("x", "-"), ("y", "-")),
+                                     rows=((1.0, 2.0), (1.0, np.float64(bad))),
+                                     params={}))
 
 
 class TestSweepSerialisation:
