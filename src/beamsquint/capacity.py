@@ -132,10 +132,9 @@ def capacity_bs(psi_f: ArrayLike, psi: ArrayLike, band: BandConfig,
 
 
 def _capacity_rows(pf: np.ndarray, ps: np.ndarray, band: BandConfig,
-                   arr: ArrayConfig, workers: int | None = None) -> np.ndarray:
-    """Squinted capacity at each (pf[i], ps[i]), block by block on
-    ``workers`` threads (by default the package's thread rule); each block
-    writes its own slice of the result."""
+                   arr: ArrayConfig) -> np.ndarray:
+    """Squinted capacity at each (pf[i], ps[i]), block by block on the
+    package's threads; each block writes its own slice of the result."""
     xi = band.ratios
     scale = band.bandwidth / band.n_f
     rows = max(1, _BLOCK_ELEMENTS // band.n_f)
@@ -146,7 +145,7 @@ def _capacity_rows(pf: np.ndarray, ps: np.ndarray, band: BandConfig,
         g2 = gain_mag(xi * ps[s, np.newaxis] - pf[s, np.newaxis], arr) ** 2
         out[s] = scale * np.sum(np.log2(1.0 + band.snr * g2), axis=1)
 
-    ordered_map(block, range(0, len(ps), rows), workers)
+    ordered_map(block, range(0, len(ps), rows))
     return out
 
 

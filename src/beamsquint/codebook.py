@@ -49,6 +49,10 @@ _BSUP_MAX_ITER = 60
 # Relative capacity slack of coverage_check.
 _COVERAGE_RTOL = 1e-6
 
+# Grid points per all-beam call of coverage_check's fallback: few enough
+# that an uncovered point ends the check early, many enough to batch.
+_FALLBACK_POINTS = 8
+
 
 @dataclass(frozen=True)
 class Beam:
@@ -273,8 +277,10 @@ def coverage_check(cb: Codebook, band: BandConfig, arr: ArrayConfig,
     grid_step`` for every integer ``i`` with ``|i * grid_step| <= psi_m``,
     plus ``+-psi_m`` themselves, so it is exactly symmetric and holds 0.
     Every point is first tested against the beam with the nearest focus (a
-    speed heuristic only), all in one batched :func:`capacity_bs` call;
-    each point that fails is tested against every beam in one more call.
+    speed heuristic only), all in one batched :func:`capacity_bs` call.
+    The points that fail are tested against every beam, up to
+    ``_FALLBACK_POINTS`` points per call, and the first point that no beam
+    covers ends the check.
     """
     grid = _coverage_grid(cb.psi_m, grid_step)
     foci = np.array([beam.focus for beam in cb.beams])
@@ -285,8 +291,11 @@ def coverage_check(cb: Codebook, band: BandConfig, arr: ArrayConfig,
     nearest = np.where(np.abs(foci[left] - grid) <= np.abs(foci[idx] - grid),
                        left, idx)
     caps = capacity_bs(foci[nearest], grid, band, arr)
-    return all(np.any(capacity_bs(foci, psi, band, arr) >= floor)
-               for psi in grid[caps < floor])
+    missed = grid[caps < floor]
+    chunks = (missed[i:i + _FALLBACK_POINTS]
+              for i in range(0, len(missed), _FALLBACK_POINTS))
+    return all(np.any(capacity_bs(foci[:, np.newaxis], c, band, arr) >= floor, axis=0).all()
+               for c in chunks)
 
 
 def _coverage_grid(psi_m: float, step: float) -> np.ndarray:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -23,43 +22,17 @@ from .experiments import SweepResult
 
 _INDENT = "  "
 
-# 17 significant digits; also formats many floats in one ``%`` call.
-_FLOAT = "%.16e"
-
 
 def format_float(x: float) -> str:
     """Decimal form of a float with 17 significant digits (lossless)."""
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"cannot serialise non-finite value {x}")
-    return _FLOAT % x
+    return "%.16e" % x
 
 
 def _all_floats(values) -> bool:
     return all(issubclass(t, float) for t in set(map(type, values)))
-
-
-def _float_rows(rows) -> int | None:
-    """Common length of ``rows`` if they are lists or tuples of floats that
-    all have one length, else None."""
-    if not rows or not set(map(type, rows)) <= {list, tuple}:
-        return None
-    lengths = set(map(len, rows))
-    if len(lengths) != 1 or not _all_floats(chain.from_iterable(rows)):
-        return None
-    return lengths.pop()
-
-
-def _format_floats(template: str, values) -> str:
-    """``template % values``, ``template`` holding one ``_FLOAT`` per value:
-    the bytes of ``format_float`` for each.  ``%.16e`` writes a non-finite
-    value as ``inf`` or ``nan``, so one search for ``n`` finds any."""
-    values = tuple(values)
-    text = template % values
-    if "n" in text:
-        for v in values:
-            format_float(v)  # raises for the first non-finite value
-    return text
 
 
 def _emit(obj: Any, level: int) -> str:
@@ -75,15 +48,9 @@ def _emit(obj: Any, level: int) -> str:
         if not obj:
             return "[]"
         if _all_floats(obj):
-            return _format_floats("[" + ", ".join([_FLOAT] * len(obj)) + "]", obj)
+            return "[" + ", ".join(map(format_float, obj)) + "]"
         if all(_is_scalar(v) for v in obj):
             return "[" + ", ".join(_emit(v, level + 1) for v in obj) + "]"
-        width = _float_rows(obj)
-        if width is not None:
-            row = "[" + ", ".join([_FLOAT] * width) + "]"
-            table = (",\n" + pad).join([row] * len(obj))
-            return ("[\n" + pad + _format_floats(table, chain.from_iterable(obj))
-                    + "\n" + close_pad + "]")
         parts = [f"{pad}{_emit(v, level + 1)}" for v in obj]
         return "[\n" + ",\n".join(parts) + "\n" + close_pad + "]"
     if isinstance(obj, bool):
@@ -148,12 +115,7 @@ def codebook_to_csv(cb: Codebook) -> str:
 def sweep_to_csv(sr: SweepResult) -> str:
     """Header ``label[unit],...`` then one LF-terminated line per row."""
     lines = [",".join(f"{label}[{unit}]" for label, unit in sr.columns)]
-    width = _float_rows(sr.rows)
-    if width is not None:
-        table = "\n".join([",".join([_FLOAT] * width)] * len(sr.rows))
-        lines.append(_format_floats(table, chain.from_iterable(sr.rows)))
-    else:
-        lines += [",".join(format_float(v) for v in row) for row in sr.rows]
+    lines += [",".join(map(format_float, row)) for row in sr.rows]
     return "\n".join(lines) + "\n"
 
 

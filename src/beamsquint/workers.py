@@ -35,13 +35,12 @@ def worker_count(tasks: int) -> int:
     return max(1, min(wanted, usable_cores(), tasks))
 
 
-def ordered_map(fn: Callable, items: Sequence, workers: int | None = None) -> list:
-    """``[fn(x) for x in items]``, on ``workers`` threads (by default
-    :func:`worker_count`); the order of the results is the order of
-    ``items`` and the first exception raised by ``fn`` propagates."""
-    if workers is None:
-        workers = worker_count(len(items))
-    if workers <= 1 or len(items) <= 1:
+def ordered_map(fn: Callable, items: Sequence) -> list:
+    """``[fn(x) for x in items]``, on :func:`worker_count` threads; the
+    order of the results is the order of ``items`` and the first exception
+    raised by ``fn`` propagates."""
+    workers = worker_count(len(items))
+    if workers == 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

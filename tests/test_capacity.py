@@ -15,7 +15,7 @@ from beamsquint import (ArrayConfig, BandConfig, ConfigError, DomainError,
                         capacity_threshold, capacity_threshold_3db, gain_region,
                         spectral_efficiency_bs, squint_safe_range)
 from beamsquint.capacity import _capacity_rows
-from beamsquint.workers import usable_cores
+from beamsquint import workers
 
 from oracles import ref_halfwidth
 
@@ -147,19 +147,23 @@ class TestCapacityBs:
             assert grid.shape == (3, 2)
             assert grid[2, 1] == fn(0.4, 0.3, band, arr16)
 
-    def test_block_pool_is_exact_under_thread_stress(self, arr64):
+    def test_block_pool_is_exact_under_thread_stress(self, arr64, monkeypatch):
         # More threads than cores and a tiny switch interval: each block
         # must still land in its own slice of the result.
         band = BandConfig(b=0.05, n_f=2048, snr=1.0)
         psis = np.linspace(-1.0, 1.0, 16 * 32 + 5)
         foci = np.linspace(0.5, -0.5, len(psis))
-        serial = _capacity_rows(foci, psis, band, arr64, workers=1)
+        monkeypatch.setenv("BEAMSQUINT_THREADS", "1")
+        serial = _capacity_rows(foci, psis, band, arr64)
+        threads = workers.usable_cores() + 6
+        monkeypatch.setattr(workers, "usable_cores", lambda: threads)
+        monkeypatch.setenv("BEAMSQUINT_THREADS", str(threads))
+        assert workers.worker_count(16) == threads
         results = []
 
         def stress():
             for _ in range(3):
-                results.append(_capacity_rows(foci, psis, band, arr64,
-                                              workers=usable_cores() + 6))
+                results.append(_capacity_rows(foci, psis, band, arr64))
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

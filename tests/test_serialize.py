@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from beamsquint import ArrayConfig, BandConfig, capacity_threshold_3db, design_codebook
+from beamsquint import (ArrayConfig, BandConfig, capacity_threshold_3db, design_codebook,
+                        serialize)
 from beamsquint.experiments import SweepResult
 from beamsquint.serialize import (codebook_to_csv, codebook_to_json, format_float,
                                   sweep_to_csv, sweep_to_json, to_json)
@@ -54,22 +55,38 @@ class TestToJson:
             to_json({"x": object()})
 
 
+def expected_float(v) -> str:
+    return format(float(v), ".16e")
+
+
 class TestFloatTables:
-    # Float rows and lists take a one-format-per-row path; its bytes must be
-    # those of format_float, value by value.
-    def test_rows_match_format_float(self):
+    # Float rows and lists skip the per-value type dispatch of _emit; their
+    # bytes must still be 17-digit scientific notation, value by value.
+    def test_rows_match_scientific_notation(self):
         sr = SweepResult(name="edges", columns=(("x", "-"), ("y", "-")),
                          rows=EDGE_ROWS, params={})
-        lines = [",".join(format_float(v) for v in row) for row in EDGE_ROWS]
+        lines = [",".join(map(expected_float, row)) for row in EDGE_ROWS]
         assert sweep_to_csv(sr).split("\n")[1:] == lines + [""]
-        rows = ["[" + ", ".join(format_float(v) for v in row) + "]" for row in EDGE_ROWS]
+        rows = ["[" + ", ".join(map(expected_float, row)) + "]" for row in EDGE_ROWS]
         assert sweep_to_json(sr).endswith(
             '"rows": [\n    ' + ",\n    ".join(rows) + "\n  ]\n}\n")
 
-    def test_float_list_matches_format_float(self):
+    def test_float_list_matches_scientific_notation(self):
         for row in EDGE_ROWS:
-            expected = "[" + ", ".join(format_float(v) for v in row) + "]\n"
+            expected = "[" + ", ".join(map(expected_float, row)) + "]\n"
             assert to_json(list(row)) == expected
+
+    def test_every_float_goes_through_format_float(self, monkeypatch):
+        # Replacing format_float must reach every emitted float, so that a
+        # perturbed formatter perturbs every document.
+        monkeypatch.setattr(serialize, "format_float", lambda x: "F")
+        sr = SweepResult(name="t", columns=(("x", "-"), ("y", "-")),
+                         rows=((0.5, 2.0), (np.float64(1.0), 3.0)), params={"a": 1.5})
+        assert sweep_to_csv(sr) == "x[-],y[-]\nF,F\nF,F\n"
+        assert sweep_to_json(sr).endswith(
+            '"a": F\n  },\n  "columns": [\n    ["x", "-"],\n    ["y", "-"]\n  ],\n'
+            '  "rows": [\n    [F, F],\n    [F, F]\n  ]\n}\n')
+        assert to_json([0.25, 1.0]) == "[F, F]\n"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_still_rejected(self, bad):

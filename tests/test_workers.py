@@ -36,8 +36,10 @@ def test_usable_cores_is_positive():
 
 
 @pytest.mark.parametrize("n_workers", [1, 3])
-def test_ordered_map_keeps_order_and_raises(n_workers):
-    assert ordered_map(lambda x: x * x, range(7), n_workers) == [0, 1, 4, 9, 16, 25, 36]
+def test_ordered_map_keeps_order_and_raises(monkeypatch, n_workers):
+    monkeypatch.setattr(workers, "usable_cores", lambda: 3)
+    monkeypatch.setenv("BEAMSQUINT_THREADS", str(n_workers))
+    assert ordered_map(lambda x: x * x, range(7)) == [0, 1, 4, 9, 16, 25, 36]
 
     def fail(x):
         if x == 5:
@@ -45,4 +47,4 @@ def test_ordered_map_keeps_order_and_raises(n_workers):
         return x
 
     with pytest.raises(ValueError):
-        ordered_map(fail, range(7), n_workers)
+        ordered_map(fail, range(7))
