@@ -20,7 +20,7 @@ import numpy as np
 from .array_model import ArrayConfig, gain_mag, subcarrier_grid
 from .errors import ConfigError, DomainError, InfeasibleError
 from .roots import bisect
-from .workers import ordered_map
+from .workers import map_blocks
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -140,13 +140,33 @@ def _capacity_rows(pf: np.ndarray, ps: np.ndarray, band: BandConfig,
     rows = max(1, _BLOCK_ELEMENTS // band.n_f)
     out = np.empty(len(ps))
 
-    def block(i: int) -> None:
-        s = slice(i, i + rows)
+    def block(s: slice) -> None:
         g2 = gain_mag(xi * ps[s, np.newaxis] - pf[s, np.newaxis], arr) ** 2
         out[s] = scale * np.sum(np.log2(1.0 + band.snr * g2), axis=1)
 
-    ordered_map(block, range(0, len(ps), rows))
+    map_blocks(block, len(ps), rows)
     return out
+
+
+def capacity_slope_bound(band: BandConfig, arr: ArrayConfig) -> float:
+    """Bound L on |dC/dpsi| of the squinted capacity at any fixed focus.
+
+    With G(x) = |D_N(pi*x/2)|/sqrt(N) and D_N(u) = sin(N*u)/sin(u), each
+    subcarrier's term B/n_f*log2(1 + snr*G^2) at x = xi*psi - psi_f has
+    derivative B/n_f * 2*snr*G*G'(x)*xi / ((1 + snr*G^2)*ln 2), so:
+
+    * D_N(u) = sum_k exp(i*(N-1-2k)*u) is a trigonometric polynomial, hence
+      |D_N'| <= sum_k |N-1-2k| <= N^2/2 and |G'| <= pi*N^(3/2)/4;
+    * 2*snr*G/(1 + snr*G^2) <= sqrt(snr), by 1 + snr*G^2 >= 2*sqrt(snr)*G;
+    * xi <= 1 + b/2 on every subcarrier.
+
+    Averaging the n_f terms gives
+    L = B*sqrt(snr)*(pi*N^(3/2)/4)*(1 + b/2)/ln 2, with B
+    ``band.bandwidth``; at b = 0 it bounds :func:`capacity_nbs` too.
+    """
+    n = arr.n_antennas
+    return (band.bandwidth * math.sqrt(band.snr) * (math.pi * n ** 1.5 / 4.0)
+            * (1.0 + band.b / 2.0) / math.log(2.0))
 
 
 def capacity_nbs(psi_f: ArrayLike, psi: ArrayLike, band: BandConfig,

@@ -29,8 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .array_model import ArrayConfig
-from .capacity import (BandConfig, beamwidth_nbs, capacity_bs, capacity_threshold,
-                       gain_region)
+from .capacity import (BandConfig, beamwidth_nbs, capacity_bs, capacity_slope_bound,
+                       capacity_threshold, gain_region)
 from .errors import ConfigError, DomainError, InfeasibleError
 from .roots import bisect
 
@@ -48,6 +48,14 @@ _BSUP_MAX_ITER = 60
 
 # Relative capacity slack of coverage_check.
 _COVERAGE_RTOL = 1e-6
+
+# Runs of coverage_check's screen this short are evaluated point by point.
+_DIRECT_POINTS = 4
+
+# Relative allowance (of c_t) by which the screen's proof must clear the
+# floor: far above the rounding error of one capacity evaluation, so a run
+# proved by the slope bound also passes when evaluated point by point.
+_SCREEN_ALLOWANCE = 1e-9
 
 # Grid points per all-beam call of coverage_check's fallback: few enough
 # that an uncovered point ends the check early, many enough to batch.
@@ -226,23 +234,18 @@ def design_codebook(psi_m: float, c_t: float, band: BandConfig,
         When either edge or focus solving breaks down in both
         constructions: no codebook exists at this fractional bandwidth.
     """
-    if not 0.0 < psi_m <= 1.0:
-        raise DomainError(f"psi_m must be in (0, 1], got {psi_m}")
-
+    _require_psi_m(psi_m)
     odd: Codebook | None = None
     even: Codebook | None = None
     odd_failure: InfeasibleError | None = None
 
     try:
-        r0 = solve_right_edge(0.0, c_t, band, arr)
-        chain = _grow_chain(r0, psi_m, c_t, band, arr)
-        odd = _assemble(chain, (0.0, 0.0 - r0, r0), psi_m, c_t, "odd")
+        odd = _odd_codebook(psi_m, c_t, band, arr)
     except InfeasibleError as exc:
         odd_failure = exc
 
     try:
-        chain = _grow_chain(0.0, psi_m, c_t, band, arr)
-        even = _assemble(chain, None, psi_m, c_t, "even")
+        even = _even_codebook(psi_m, c_t, band, arr)
     except InfeasibleError as exc:
         if odd is None:
             failure = odd_failure if odd_failure is not None else exc
@@ -254,6 +257,26 @@ def design_codebook(psi_m: float, c_t: float, band: BandConfig,
     if even is None or odd.size <= even.size:
         return odd
     return even
+
+
+def _require_psi_m(psi_m: float) -> None:
+    if not 0.0 < psi_m <= 1.0:
+        raise DomainError(f"psi_m must be in (0, 1], got {psi_m}")
+
+
+def _odd_codebook(psi_m: float, c_t: float, band: BandConfig,
+                  arr: ArrayConfig) -> Codebook:
+    """A beam centred on broadside, then pairs chained outward from its
+    right edge."""
+    r0 = solve_right_edge(0.0, c_t, band, arr)
+    chain = _grow_chain(r0, psi_m, c_t, band, arr)
+    return _assemble(chain, (0.0, 0.0 - r0, r0), psi_m, c_t, "odd")
+
+
+def _even_codebook(psi_m: float, c_t: float, band: BandConfig,
+                   arr: ArrayConfig) -> Codebook:
+    """Pairs straddling broadside, the first coverage starting at 0."""
+    return _assemble(_grow_chain(0.0, psi_m, c_t, band, arr), None, psi_m, c_t, "even")
 
 
 def assess_feasibility(psi_m: float, c_t: float, band: BandConfig,
@@ -276,11 +299,19 @@ def coverage_check(cb: Codebook, band: BandConfig, arr: ArrayConfig,
     is the same in bit/s and per unit bandwidth.  The grid is ``i *
     grid_step`` for every integer ``i`` with ``|i * grid_step| <= psi_m``,
     plus ``+-psi_m`` themselves, so it is exactly symmetric and holds 0.
+
     Every point is first tested against the beam with the nearest focus (a
-    speed heuristic only), all in one batched :func:`capacity_bs` call.
-    The points that fail are tested against every beam, up to
-    ``_FALLBACK_POINTS`` points per call, and the first point that no beam
-    covers ends the check.
+    speed heuristic only).  A run of points with the same nearest beam
+    passes without being evaluated when the capacity at its midpoint,
+    less :func:`~beamsquint.capacity.capacity_slope_bound` times its
+    half-width, still meets the floor; runs that cannot be proved are
+    halved, and runs of at most ``_DIRECT_POINTS`` points are evaluated
+    point by point.  A point passes only where the floor is proved or
+    computed, so the verdict equals a point-by-point check.  The points
+    that fail are tested against every beam, up to ``_FALLBACK_POINTS``
+    points per call, and the first point that no beam covers ends the
+    check.  The check depends only on the codebook and the model, never
+    on a solver tolerance.
     """
     grid = _coverage_grid(cb.psi_m, grid_step)
     foci = np.array([beam.focus for beam in cb.beams])
@@ -290,12 +321,41 @@ def coverage_check(cb: Codebook, band: BandConfig, arr: ArrayConfig,
     left = np.clip(idx - 1, 0, len(foci) - 1)
     nearest = np.where(np.abs(foci[left] - grid) <= np.abs(foci[idx] - grid),
                        left, idx)
-    caps = capacity_bs(foci[nearest], grid, band, arr)
-    missed = grid[caps < floor]
+    missed = grid[_screen_runs(grid, foci[nearest], floor, cb.c_t, band, arr)]
     chunks = (missed[i:i + _FALLBACK_POINTS]
               for i in range(0, len(missed), _FALLBACK_POINTS))
     return all(np.any(capacity_bs(foci[:, np.newaxis], c, band, arr) >= floor, axis=0).all()
                for c in chunks)
+
+
+def _screen_runs(grid: np.ndarray, focus: np.ndarray, floor: float, c_t: float,
+                 band: BandConfig, arr: ArrayConfig) -> np.ndarray:
+    """Mask of the grid points whose own ``focus`` misses ``floor``.
+
+    Bisects each run of equal foci until it is proved by the slope bound
+    or short enough to evaluate; each level is one batched capacity call.
+    """
+    slope = capacity_slope_bound(band, arr)
+    margin = floor + _SCREEN_ALLOWANCE * c_t
+    missed = np.zeros(len(grid), dtype=bool)
+    cuts = np.flatnonzero(focus[1:] != focus[:-1]) + 1
+    lo = np.concatenate(([0], cuts))
+    hi = np.concatenate((cuts, [len(grid)]))
+    while len(lo):
+        short = hi - lo <= _DIRECT_POINTS
+        points = lo[short, np.newaxis] + np.arange(_DIRECT_POINTS)
+        points = points[points < hi[short, np.newaxis]]
+        lo, hi = lo[~short], hi[~short]
+        first, last = grid[lo], grid[hi - 1]
+        caps = capacity_bs(np.concatenate((focus[points], focus[lo])),
+                           np.concatenate((grid[points], 0.5 * (first + last))),
+                           band, arr)
+        missed[points] = caps[:len(points)] < floor
+        unproved = caps[len(points):] - slope * (0.5 * (last - first)) < margin
+        lo, hi = lo[unproved], hi[unproved]
+        mid = (lo + hi) // 2
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+    return missed
 
 
 def _coverage_grid(psi_m: float, step: float) -> np.ndarray:
@@ -360,16 +420,25 @@ def estimate_bsup(arr: ArrayConfig, r: float, snr: float, psi_m: float = 1.0,
 
     Bisects feasibility of :func:`design_codebook` over b in [0, 2); zero
     bandwidth is always feasible.  Feasibility is monotone in b across the
-    sampled parameter space, which the test suite checks empirically.
+    sampled parameter space, which the test suite checks empirically.  A
+    probe needs only some codebook, not the smallest, so it builds the odd
+    chain and builds the even chain only when the odd one fails.
     """
     if not 0.0 < tol_b < 2.0:
         raise ConfigError(
             f"tol_b must be in (0, 2), the width of the b bracket, got {tol_b}")
+    _require_psi_m(psi_m)
 
     def feasible(b: float) -> bool:
         band = BandConfig(b=b, n_f=n_f, snr=snr)
-        return assess_feasibility(psi_m, capacity_threshold(r, band, arr),
-                                  band, arr).feasible
+        c_t = capacity_threshold(r, band, arr)
+        for build in (_odd_codebook, _even_codebook):
+            try:
+                build(psi_m, c_t, band, arr)
+                return True
+            except InfeasibleError:
+                pass
+        return False
 
     lo, hi = 0.0, 2.0
     for _ in range(_BSUP_MAX_ITER):

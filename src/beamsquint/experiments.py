@@ -2,10 +2,11 @@
 
 Every sweep returns a :class:`SweepResult` whose ``params`` mapping records
 all inputs (including any RNG seed), so :func:`rerun` can reproduce the
-rows bit for bit.  Sweep points are independent; the expensive sweeps
-evaluate them on a thread pool capped by the ``BEAMSQUINT_THREADS``
-environment variable, with row order fixed by parameter order regardless
-of scheduling.
+rows bit for bit.  Sweep points are evaluated one after another, in
+parameter order, on the calling thread: each is Python root-solver steps
+around small capacity calls, so threads would only contend for the GIL.
+``BEAMSQUINT_THREADS`` splits only the large capacity evaluations inside a
+point, see :func:`~beamsquint.capacity.capacity_bs`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .capacity import (R_3DB, BandConfig, capacity_bs, capacity_nbs,
 from .codebook import (_focus_grid, assess_feasibility, estimate_bsup,
                        improvement_max, improvement_ratio)
 from .errors import ConfigError
-from .workers import ordered_map
 
 INFEASIBLE_MARKER = -1.0
 
@@ -106,7 +106,7 @@ def sweep_capacity_vs_bandwidth(arrays: Sequence[ArrayConfig], psi_f: float,
             row.append(capacity_nbs(psi_f, psi, band, arr))
         return tuple(row)
 
-    rows = ordered_map(point, [float(b) for b in bws])
+    rows = [point(float(bw)) for bw in bws]
     return SweepResult(
         name="capacity-vs-bandwidth", columns=tuple(columns), rows=tuple(rows),
         params={"sweep": "capacity-vs-bandwidth",
@@ -132,7 +132,7 @@ def sweep_improvement_vs_focus(arrays: Sequence[ArrayConfig], b: float, r: float
         return (pf,) + tuple(improvement_ratio(pf, r, bands[arr.n_antennas], arr)
                              for arr in arrays)
 
-    rows = ordered_map(point, [float(p) for p in grid])
+    rows = [point(float(pf)) for pf in grid]
     return SweepResult(
         name="improvement-vs-focus", columns=tuple(columns), rows=tuple(rows),
         params={"sweep": "improvement-vs-focus",
@@ -159,7 +159,7 @@ def sweep_improvement_max_vs_b(arrays: Sequence[ArrayConfig],
             row.append(improvement_max(r, band, arr))
         return tuple(row)
 
-    rows = ordered_map(point, bs)
+    rows = [point(b) for b in bs]
     return SweepResult(
         name="improvement-max-vs-b", columns=tuple(columns), rows=tuple(rows),
         params={"sweep": "improvement-max-vs-b",
@@ -197,7 +197,7 @@ def sweep_codebook_size_vs_n(b_values: Sequence[float] | None = None,
                        else INFEASIBLE_MARKER)
         return tuple(row)
 
-    rows = ordered_map(row_for, ns)
+    rows = [row_for(n) for n in ns]
     return SweepResult(
         name="codebook-size-vs-n", columns=tuple(columns), rows=tuple(rows),
         params={"sweep": "codebook-size-vs-n", "b_values": bs, "n_values": ns,

@@ -1,17 +1,18 @@
 """The one thread-count rule of the package.
 
-Independent sweep points and the angle blocks of a large capacity
-evaluation run on short-lived thread pools.  numpy releases the GIL inside
-its ufuncs, so threads help only where each task is mostly numpy work.
-The ``BEAMSQUINT_THREADS`` environment variable caps the threads; it is
-read here and nowhere else.
+The angle blocks of a large capacity evaluation run on a short-lived thread
+pool.  numpy releases the GIL inside its ufuncs, so threads help only where
+each task is mostly numpy work; sweep points, which are Python root-solver
+steps around small capacity calls, run on the calling thread.  The
+``BEAMSQUINT_THREADS`` environment variable caps the threads; it is read
+here and nowhere else.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Callable
 
 
 def usable_cores() -> int:
@@ -35,12 +36,13 @@ def worker_count(tasks: int) -> int:
     return max(1, min(wanted, usable_cores(), tasks))
 
 
-def ordered_map(fn: Callable, items: Sequence) -> list:
-    """``[fn(x) for x in items]``, on :func:`worker_count` threads; the
-    order of the results is the order of ``items`` and the first exception
-    raised by ``fn`` propagates."""
-    workers = worker_count(len(items))
+def map_blocks(fn: Callable[[slice], object], n: int, size: int) -> list:
+    """``fn`` applied to each slice ``[i, i + size)`` that tiles
+    ``range(n)``, on :func:`worker_count` threads; the results are in block
+    order and the first exception raised by ``fn`` propagates."""
+    blocks = [slice(i, i + size) for i in range(0, n, size)]
+    workers = worker_count(len(blocks))
     if workers == 1:
-        return [fn(x) for x in items]
+        return [fn(s) for s in blocks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(fn, blocks))

@@ -2,7 +2,10 @@
 
 These deliberately avoid the library's solvers: magnitudes come from the
 closed form written out here, widths from a fresh bisection on it, and
-roots from brute-force grid scans.
+roots from brute-force grid scans.  The exception is the straightforward
+versions of the package's screened or early-stopping paths, which those
+paths must agree with: ``exhaustive_coverage_check`` and
+``both_parity_bsup``.
 """
 
 from __future__ import annotations
@@ -10,6 +13,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from beamsquint import BandConfig, assess_feasibility, capacity_bs, capacity_threshold
+from beamsquint.codebook import _coverage_grid
 
 
 def ref_gain_mag(x: float, n: int) -> float:
@@ -49,3 +55,37 @@ def scan_first_at_or_above(fn, lo: float, hi: float, level: float,
     values = np.array([fn(float(x)) for x in grid])
     hits = np.where(values >= level)[0]
     return float(grid[hits[0]])
+
+
+def exhaustive_coverage_check(cb, band, arr, grid_step: float) -> bool:
+    """Point-by-point reference for ``coverage_check``: every grid point is
+    evaluated against the beam with the nearest focus, and the points that
+    miss the floor are evaluated against every beam."""
+    grid = _coverage_grid(cb.psi_m, grid_step)
+    foci = np.array([beam.focus for beam in cb.beams])
+    floor = cb.c_t * (1.0 - 1e-6)
+    idx = np.clip(np.searchsorted(foci, grid), 0, len(foci) - 1)
+    left = np.clip(idx - 1, 0, len(foci) - 1)
+    nearest = np.where(np.abs(foci[left] - grid) <= np.abs(foci[idx] - grid),
+                       left, idx)
+    missed = grid[capacity_bs(foci[nearest], grid, band, arr) < floor]
+    return all(np.any(capacity_bs(foci[:, np.newaxis], missed[i:i + 8], band, arr)
+                      >= floor, axis=0).all()
+               for i in range(0, len(missed), 8))
+
+
+def both_parity_bsup(arr, r: float, snr: float, psi_m: float = 1.0,
+                     tol_b: float = 1e-6, n_f: int = 2048) -> float:
+    """``estimate_bsup``'s bisection with each probe a full two-parity
+    ``assess_feasibility`` design."""
+    lo, hi = 0.0, 2.0
+    for _ in range(60):
+        if hi - lo <= tol_b:
+            break
+        mid = 0.5 * (lo + hi)
+        band = BandConfig(b=mid, n_f=n_f, snr=snr)
+        if assess_feasibility(psi_m, capacity_threshold(r, band, arr), band, arr).feasible:
+            lo = mid
+        else:
+            hi = mid
+    return lo

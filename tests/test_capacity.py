@@ -14,7 +14,7 @@ from beamsquint import (ArrayConfig, BandConfig, ConfigError, DomainError,
                         InfeasibleError, beamwidth_nbs, capacity_bs, capacity_nbs,
                         capacity_threshold, capacity_threshold_3db, gain_region,
                         spectral_efficiency_bs, squint_safe_range)
-from beamsquint.capacity import _capacity_rows
+from beamsquint.capacity import _capacity_rows, capacity_slope_bound
 from beamsquint import workers
 
 from oracles import ref_halfwidth
@@ -184,6 +184,28 @@ class TestCapacityBs:
         for psi_f, psi in rng.uniform(-1, 1, size=(50, 2)):
             assert capacity_bs(psi_f, psi, band, arr64) == \
                 capacity_bs(-psi_f, -psi, band, arr64)
+
+
+class TestCapacitySlopeBound:
+    @pytest.mark.parametrize("n", [2, 3, 16, 64, 128])
+    @pytest.mark.parametrize("b", [0.0, 0.03, 0.5])
+    @pytest.mark.parametrize("hz", [False, True], ids=["dimensionless", "hz"])
+    def test_bounds_every_finite_difference(self, n, b, hz):
+        # coverage_check's proof needs a true bound, and at b = 0, N=2 and
+        # snr 100 the slope comes within 0.3% of it, so no tolerance beyond
+        # rounding.
+        arr = ArrayConfig(n)
+        psis = np.linspace(-1.0, 1.0, 40_001)
+        foci = np.array([[0.0], [0.5], [0.97]])
+        for snr in (0.01, 1.0, 100.0):
+            band = BandConfig(b=b, n_f=8, snr=snr,
+                              bandwidth_hz=2.5e9 if hz else None)
+            caps = capacity_bs(foci, psis, band, arr)
+            ratio = np.max(np.abs(np.diff(caps, axis=1)) / np.diff(psis))
+            bound = capacity_slope_bound(band, arr)
+            assert ratio <= bound * (1.0 + 1e-6), (snr, ratio / bound)
+            if n == 2 and b == 0.0 and snr == 100.0:
+                assert ratio >= 0.99 * bound
 
 
 class TestCapacityNbs:

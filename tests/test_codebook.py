@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from beamsquint import (ArrayConfig, BandConfig, Beam, Codebook, ConfigError,
+from beamsquint import (ArrayConfig, BandConfig, Beam, Codebook, ConfigError, DomainError,
                         InfeasibleError, assess_feasibility,
                         beamwidth_nbs, capacity_bs, capacity_threshold,
                         capacity_threshold_3db, coverage_check, design_codebook,
                         estimate_bsup, fit_bsup_constant, improvement_max,
                         improvement_ratio, solve_focus_from_left, solve_left_edge,
                         solve_right_edge, traditional_min_capacity)
+from beamsquint import workers
 from beamsquint.codebook import _coverage_grid
 
-from oracles import ref_halfwidth, scan_first_at_or_above, scan_last_at_or_above
+from oracles import (both_parity_bsup, exhaustive_coverage_check, ref_halfwidth,
+                     scan_first_at_or_above, scan_last_at_or_above)
 
 SQRT2_OVER_2 = math.sqrt(2.0) / 2.0
 
@@ -232,6 +234,22 @@ class TestDesignCodebook:
             assert capacity_bs(beam.focus, beam.right, band, arr) >= cb.c_t, beam
 
 
+def designed(n, band):
+    arr = ArrayConfig(n)
+    return design_codebook(1.0, threshold(band, arr), band, arr), arr
+
+
+def squint_ignoring(n, band):
+    """Uniform tiling by the carrier-only 3 dB gain region."""
+    arr = ArrayConfig(n)
+    w = ref_halfwidth(SQRT2_OVER_2, n)
+    pairs = math.ceil((1.0 - w) / (2 * w))
+    beams = tuple(Beam(focus=2 * w * k, left=2 * w * k - w, right=2 * w * k + w)
+                  for k in range(-pairs, pairs + 1))
+    return Codebook(beams=beams, psi_m=1.0, c_t=capacity_threshold_3db(band, arr),
+                    parity="odd" if len(beams) % 2 else "even")
+
+
 class TestCoverageCheck:
     def test_designed_codebook_covers(self):
         arr = ArrayConfig(32)
@@ -252,17 +270,9 @@ class TestCoverageCheck:
     def test_squint_ignoring_codebook_fails(self):
         # Uniformly tiling by the carrier-only gain region leaves holes
         # once squint is accounted for.
-        n = 64
-        arr = ArrayConfig(n)
         band = band_for(0.0342)
-        c_t = capacity_threshold_3db(band, arr)
-        w = ref_halfwidth(SQRT2_OVER_2, n)
-        pairs = math.ceil((1.0 - w) / (2 * w))
-        foci = [2 * w * k for k in range(-pairs, pairs + 1)]
-        beams = tuple(Beam(focus=f, left=f - w, right=f + w) for f in foci)
-        traditional = Codebook(beams=beams, psi_m=1.0, c_t=c_t,
-                               parity="odd" if len(beams) % 2 else "even")
-        assert not coverage_check(traditional, band, arr, grid_step=1e-3)
+        assert not coverage_check(squint_ignoring(64, band), band, ArrayConfig(64),
+                                  grid_step=1e-3)
 
     def test_grid_step_must_be_positive(self):
         arr = ArrayConfig(16)
@@ -294,6 +304,80 @@ class TestCoverageCheck:
         assert np.all(np.diff(grid) > 0)
         inner = grid[np.abs(grid) < psi_m]
         assert np.array_equal(inner, np.rint(inner / step) * step)
+
+
+class TestCoverageScreen:
+    """coverage_check proves most grid points with the capacity slope bound;
+    its verdict must equal the point-by-point reference in every case."""
+
+    @pytest.fixture(autouse=True)
+    def all_cores(self, monkeypatch):
+        # Verdicts do not depend on threads; the reference is the slow side.
+        monkeypatch.setenv("BEAMSQUINT_THREADS", str(workers.usable_cores()))
+
+    def same_verdict(self, cb, band, arr, step, expected):
+        assert coverage_check(cb, band, arr, grid_step=step) is expected
+        assert exhaustive_coverage_check(cb, band, arr, step) is expected
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("b", [0.0179, 0.0342, 0.0417])
+    def test_structural_books(self, n, b):
+        band = band_for(b)
+        cb, arr = designed(n, band)
+        self.same_verdict(cb, band, arr, 1e-3, True)
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("hz", [False, True], ids=["dimensionless", "hz"])
+    def test_scan_books(self, n, hz):
+        band = (BandConfig.from_hz(2.5e9, 73e9, n_f=2048, snr=1.0) if hz
+                else band_for(2.5 / 73))
+        cb, arr = designed(n, band)
+        self.same_verdict(cb, band, arr, 1e-3, True)
+
+    def test_zero_bandwidth_book(self):
+        band = band_for(0.0)
+        cb, arr = designed(32, band)
+        self.same_verdict(cb, band, arr, 1e-4, True)
+
+    @pytest.mark.parametrize("step", [1e-3, 1e-4])
+    def test_pruned_books(self, step):
+        band = band_for(0.0179, n_f=256)
+        cb, arr = designed(16, band)
+        for i in range(cb.size):
+            pruned = Codebook(beams=cb.beams[:i] + cb.beams[i + 1:],
+                              psi_m=cb.psi_m, c_t=cb.c_t, parity=cb.parity)
+            self.same_verdict(pruned, band, arr, step, False)
+
+    @pytest.mark.parametrize("step", [1e-3, 1e-4])
+    def test_squint_ignoring_book(self, step):
+        band = band_for(0.0342, n_f=256)
+        self.same_verdict(squint_ignoring(64, band), band, ArrayConfig(64), step, False)
+
+    def test_reversed_book(self):
+        band = band_for(0.0179, n_f=256)
+        cb, arr = designed(16, band)
+        reversed_ = Codebook(beams=cb.beams[::-1], psi_m=cb.psi_m, c_t=cb.c_t,
+                             parity=cb.parity)
+        self.same_verdict(reversed_, band, arr, 1e-3, True)
+
+    def test_nudged_focus_opens_a_small_hole(self):
+        # Moving one focus right by 3.5 grid steps uncovers the few grid
+        # points between its left neighbour's right edge and its new left
+        # edge; nothing else changes.
+        step = 1e-4
+        band = band_for(0.0179, n_f=256)
+        cb, arr = designed(16, band)
+        k = cb.size // 2 + 2
+        beams = list(cb.beams)
+        beams[k] = Beam(beams[k].focus + 3.5 * step, beams[k].left, beams[k].right)
+        nudged = Codebook(beams=tuple(beams), psi_m=cb.psi_m, c_t=cb.c_t,
+                          parity=cb.parity)
+        grid = _coverage_grid(1.0, step)
+        near = grid[np.abs(grid - cb.beams[k].left) < 20 * step]
+        foci = np.array([beam.focus for beam in beams])[:, np.newaxis]
+        covered = np.any(capacity_bs(foci, near, band, arr) >= cb.c_t * (1 - 1e-6), axis=0)
+        assert 1 <= np.sum(~covered) <= 5
+        self.same_verdict(nudged, band, arr, step, False)
 
 
 class TestImprovement:
@@ -366,6 +450,19 @@ class TestBandwidthLimit:
         assert not report.feasible
         assert report.failing_focus is not None
         assert report.size_if_feasible is None
+
+    @pytest.mark.parametrize("n", range(8, 21))
+    def test_first_feasible_parity_gives_the_two_parity_bsup(self, n):
+        # Each probe stops at the first parity that succeeds; its verdict,
+        # and so b_sup, must be that of a full two-parity design.
+        arr = ArrayConfig(n)
+        for snr in (1.0, 10 ** 0.3):
+            assert estimate_bsup(arr, SQRT2_OVER_2, snr, tol_b=1e-6, n_f=16) == \
+                both_parity_bsup(arr, SQRT2_OVER_2, snr, tol_b=1e-6, n_f=16)
+
+    def test_psi_m_domain(self):
+        with pytest.raises(DomainError):
+            estimate_bsup(ArrayConfig(8), SQRT2_OVER_2, snr=1.0, psi_m=1.5, n_f=64)
 
     @pytest.mark.parametrize("tol_b", [0.0, -1.0, 2.0, math.inf, math.nan])
     def test_tol_b_must_lie_inside_the_bracket(self, tol_b):

@@ -3,7 +3,7 @@ import threading
 import pytest
 
 from beamsquint import workers
-from beamsquint.workers import ordered_map, usable_cores, worker_count
+from beamsquint.workers import map_blocks, usable_cores, worker_count
 
 
 @pytest.mark.parametrize("raw, tasks, expected", [
@@ -36,15 +36,18 @@ def test_usable_cores_is_positive():
 
 
 @pytest.mark.parametrize("n_workers", [1, 3])
-def test_ordered_map_keeps_order_and_raises(monkeypatch, n_workers):
+def test_map_blocks_keeps_order_and_raises(monkeypatch, n_workers):
     monkeypatch.setattr(workers, "usable_cores", lambda: 3)
     monkeypatch.setenv("BEAMSQUINT_THREADS", str(n_workers))
-    assert ordered_map(lambda x: x * x, range(7)) == [0, 1, 4, 9, 16, 25, 36]
+    squares = [x * x for x in range(7)]
+    assert map_blocks(lambda s: squares[s], 7, 1) == [[x] for x in squares]
+    assert map_blocks(lambda s: squares[s], 7, 3) == [[0, 1, 4], [9, 16, 25], [36]]
+    assert map_blocks(lambda s: squares[s], 0, 3) == []
 
-    def fail(x):
-        if x == 5:
-            raise ValueError(x)
-        return x
+    def fail(s):
+        if s.start == 5:
+            raise ValueError(s)
+        return s
 
     with pytest.raises(ValueError):
-        ordered_map(fail, range(7))
+        map_blocks(fail, 7, 1)
