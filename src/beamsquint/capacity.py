@@ -11,6 +11,8 @@ the band carries an absolute bandwidth and per unit bandwidth otherwise.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Union
@@ -20,7 +22,6 @@ import numpy as np
 from .array_model import ArrayConfig, gain_mag, subcarrier_grid
 from .errors import ConfigError, DomainError, InfeasibleError
 from .roots import bisect
-from .workers import map_blocks
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -90,6 +91,12 @@ def _require_finite_positive(name: str, value: float) -> None:
         raise ConfigError(f"{name} must be finite and positive, got {value}")
 
 
+def _require_visible(name: str, angle: float) -> None:
+    """Reject an angle outside the visible region [-1, 1], NaN included."""
+    if not -1.0 <= angle <= 1.0:
+        raise DomainError(f"{name} must be in [-1, 1], got {angle}")
+
+
 @dataclass(frozen=True)
 class GainRegion:
     """Angle interval around ``psi_f`` where the carrier gain stays at or
@@ -115,9 +122,9 @@ def capacity_bs(psi_f: ArrayLike, psi: ArrayLike, band: BandConfig,
     so each angle may carry its own focus; two scalars give a float and
     anything else an array of the broadcast shape.  The array path works
     in blocks of about 2**16 angle-subcarrier pairs, which keeps each
-    block in cache, and spreads the blocks over up to
-    ``BEAMSQUINT_THREADS`` threads (capped at the usable cores); every
-    entry is bit-identical to the scalar call at that angle and focus.
+    block in cache, and spreads the blocks over up to one thread per core
+    in the process's CPU affinity mask; every entry is bit-identical to
+    the scalar call at that angle and focus.
     At zero fractional bandwidth the subcarrier grid collapses and this is
     exactly :func:`capacity_nbs`.
     """
@@ -125,27 +132,46 @@ def capacity_bs(psi_f: ArrayLike, psi: ArrayLike, band: BandConfig,
         return capacity_nbs(psi_f, psi, band, arr)
     pf, ps = np.asarray(psi_f, dtype=float), np.asarray(psi, dtype=float)
     if pf.ndim == 0 and ps.ndim == 0:
-        g2 = gain_mag(band.ratios * float(ps) - float(pf), arr) ** 2
-        return float(band.bandwidth / band.n_f * np.sum(np.log2(1.0 + band.snr * g2)))
+        return float(_rate_sum(band.ratios * float(ps) - float(pf), band, arr))
     pf, ps = np.broadcast_arrays(pf, ps)
     return _capacity_rows(pf.ravel(), ps.ravel(), band, arr).reshape(ps.shape)
 
 
+def _rate_sum(x: np.ndarray, band: BandConfig, arr: ArrayConfig) -> np.ndarray:
+    """Squinted capacity from the squinted angles ``x``, one subcarrier per
+    entry along the last axis."""
+    return band.bandwidth / band.n_f * np.sum(
+        np.log2(1.0 + band.snr * gain_mag(x, arr) ** 2), axis=-1)
+
+
 def _capacity_rows(pf: np.ndarray, ps: np.ndarray, band: BandConfig,
                    arr: ArrayConfig) -> np.ndarray:
-    """Squinted capacity at each (pf[i], ps[i]), block by block on the
-    package's threads; each block writes its own slice of the result."""
-    xi = band.ratios
-    scale = band.bandwidth / band.n_f
+    """Squinted capacity at each (pf[i], ps[i]), block by block; with more
+    than one block and one usable core the blocks run on a thread pool,
+    each writing its own slice of the result."""
     rows = max(1, _BLOCK_ELEMENTS // band.n_f)
+    blocks = [slice(i, i + rows) for i in range(0, len(ps), rows)]
     out = np.empty(len(ps))
 
     def block(s: slice) -> None:
-        g2 = gain_mag(xi * ps[s, np.newaxis] - pf[s, np.newaxis], arr) ** 2
-        out[s] = scale * np.sum(np.log2(1.0 + band.snr * g2), axis=1)
+        out[s] = _rate_sum(band.ratios * ps[s, np.newaxis] - pf[s, np.newaxis], band, arr)
 
-    map_blocks(block, len(ps), rows)
+    workers = min(len(blocks), _usable_cores())
+    if workers <= 1:
+        for s in blocks:
+            block(s)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(block, blocks))  # raises the first block's exception
     return out
+
+
+def _usable_cores() -> int:
+    """Cores in this process's CPU affinity mask."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
 
 
 def capacity_slope_bound(band: BandConfig, arr: ArrayConfig) -> float:

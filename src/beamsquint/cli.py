@@ -13,8 +13,8 @@ import argparse
 import sys
 
 from .array_model import ArrayConfig
-from .capacity import (R_3DB, BandConfig, capacity_bs, capacity_nbs,
-                       capacity_threshold, spectral_efficiency_bs)
+from .capacity import (R_3DB, BandConfig, _require_visible, capacity_bs,
+                       capacity_nbs, capacity_threshold, spectral_efficiency_bs)
 from .codebook import (design_codebook, estimate_bsup, fit_bsup_constant,
                        improvement_max, improvement_ratio)
 from .errors import ConfigError, DomainError, InfeasibleError
@@ -88,9 +88,8 @@ def _point_result(name: str, columns, row, params) -> SweepResult:
 
 
 def _cmd_capacity(args) -> SweepResult:
-    for flag, value in (("--psi-f", args.psi_f), ("--psi", args.psi)):
-        if not -1.0 <= value <= 1.0:
-            raise DomainError(f"{flag} must be in [-1, 1], got {value}")
+    _require_visible("--psi-f", args.psi_f)
+    _require_visible("--psi", args.psi)
     arr, band = _array_from_flag(args.antennas), _band_from_args(args)
     unit = "bit/s" if band.bandwidth_hz is not None else "bit/s/Hz"
     cbs = capacity_bs(args.psi_f, args.psi, band, arr)

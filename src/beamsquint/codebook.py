@@ -6,7 +6,8 @@ broadside, codebooks that tile [-psi_m, psi_m] cannot use a fixed beam
 pitch; instead beams are chained outward one by one, each new beam's left
 coverage edge abutting the previous beam's right edge.  Both a broadside-
 centred (odd-size) and an edge-started (even-size) chain are built and the
-smaller codebook wins.
+smaller codebook wins; a feasibility probe builds the even chain only when
+the odd one fails.
 
 Coverage edges and focus angles have no closed form; each is the root of a
 monotone capacity equation on a bracket of half the no-squint beamwidth and
@@ -17,20 +18,22 @@ fractional bandwidth; the largest workable bandwidth is itself located by
 bisection on feasibility.
 
 Synthesis is sequential per codebook; distinct designs share no mutable
-state and may run concurrently.
+state and may run concurrently.  Only the batched capacity calls of
+:func:`coverage_check` use more than one core, through
+:func:`~beamsquint.capacity.capacity_bs`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .array_model import ArrayConfig
-from .capacity import (BandConfig, beamwidth_nbs, capacity_bs, capacity_slope_bound,
-                       capacity_threshold, gain_region)
+from .capacity import (BandConfig, _require_visible, beamwidth_nbs, capacity_bs,
+                       capacity_slope_bound, capacity_threshold, gain_region)
 from .errors import ConfigError, DomainError, InfeasibleError
 from .roots import bisect
 
@@ -86,11 +89,14 @@ class Codebook:
     beams: tuple[Beam, ...]
     psi_m: float
     c_t: float
-    parity: str
 
     @property
     def size(self) -> int:
         return len(self.beams)
+
+    @property
+    def parity(self) -> str:
+        return "odd" if self.size % 2 else "even"
 
 
 @dataclass(frozen=True)
@@ -205,13 +211,13 @@ def _grow_chain(start_right: float, psi_m: float, c_t: float, band: BandConfig,
 
 def _assemble(positives: list[tuple[float, float, float]],
               centre: tuple[float, float, float] | None,
-              psi_m: float, c_t: float, parity: str) -> Codebook:
+              psi_m: float, c_t: float) -> Codebook:
     """Mirror the positive-side chain about broadside and build the codebook."""
     # 0.0 - x rather than -x keeps a 0.0 edge from turning into -0.0.
     mirrored = [Beam(0.0 - f, 0.0 - r, 0.0 - l) for f, l, r in reversed(positives)]
     middle = [Beam(*centre)] if centre is not None else []
     ordered = mirrored + middle + [Beam(*t) for t in positives]
-    return Codebook(beams=tuple(ordered), psi_m=psi_m, c_t=c_t, parity=parity)
+    return Codebook(beams=tuple(ordered), psi_m=psi_m, c_t=c_t)
 
 
 def design_codebook(psi_m: float, c_t: float, band: BandConfig,
@@ -234,34 +240,25 @@ def design_codebook(psi_m: float, c_t: float, band: BandConfig,
         When either edge or focus solving breaks down in both
         constructions: no codebook exists at this fractional bandwidth.
     """
-    _require_psi_m(psi_m)
-    odd: Codebook | None = None
-    even: Codebook | None = None
-    odd_failure: InfeasibleError | None = None
-
-    try:
-        odd = _odd_codebook(psi_m, c_t, band, arr)
-    except InfeasibleError as exc:
-        odd_failure = exc
-
-    try:
-        even = _even_codebook(psi_m, c_t, band, arr)
-    except InfeasibleError as exc:
-        if odd is None:
-            failure = odd_failure if odd_failure is not None else exc
-            raise InfeasibleError(
-                f"no codebook exists: {failure}", failure.failing_focus) from exc
-
-    if odd is None:
-        return even
-    if even is None or odd.size <= even.size:
-        return odd
-    return even
+    odd, even = _parities(psi_m, c_t, band, arr)
+    books = [o for o in (odd, even) if isinstance(o, Codebook)]
+    if not books:
+        raise InfeasibleError(
+            f"no codebook exists: {odd}", odd.failing_focus) from even
+    return min(books, key=lambda cb: cb.size)
 
 
-def _require_psi_m(psi_m: float) -> None:
+def _parities(psi_m: float, c_t: float, band: BandConfig,
+              arr: ArrayConfig) -> Iterator[Codebook | InfeasibleError]:
+    """The odd and then the even codebook, or the error that stopped each;
+    a parity is built only when the caller asks for it."""
     if not 0.0 < psi_m <= 1.0:
         raise DomainError(f"psi_m must be in (0, 1], got {psi_m}")
+    for build in (_odd_codebook, _even_codebook):
+        try:
+            yield build(psi_m, c_t, band, arr)
+        except InfeasibleError as exc:
+            yield exc
 
 
 def _odd_codebook(psi_m: float, c_t: float, band: BandConfig,
@@ -270,13 +267,13 @@ def _odd_codebook(psi_m: float, c_t: float, band: BandConfig,
     right edge."""
     r0 = solve_right_edge(0.0, c_t, band, arr)
     chain = _grow_chain(r0, psi_m, c_t, band, arr)
-    return _assemble(chain, (0.0, 0.0 - r0, r0), psi_m, c_t, "odd")
+    return _assemble(chain, (0.0, 0.0 - r0, r0), psi_m, c_t)
 
 
 def _even_codebook(psi_m: float, c_t: float, band: BandConfig,
                    arr: ArrayConfig) -> Codebook:
     """Pairs straddling broadside, the first coverage starting at 0."""
-    return _assemble(_grow_chain(0.0, psi_m, c_t, band, arr), None, psi_m, c_t, "even")
+    return _assemble(_grow_chain(0.0, psi_m, c_t, band, arr), None, psi_m, c_t)
 
 
 def assess_feasibility(psi_m: float, c_t: float, band: BandConfig,
@@ -377,9 +374,8 @@ def traditional_min_capacity(psi_f: float, r: float, band: BandConfig,
     toward the region edges; the minimum is taken over the two (clipped)
     edges.
     """
+    _require_visible("psi_f", psi_f)
     region = gain_region(psi_f, r, arr)
-    if not region.lo <= region.hi:  # also a NaN focus
-        raise DomainError(f"gain region at psi_f={psi_f} is empty")
     return min(capacity_bs(psi_f, region.lo, band, arr),
                capacity_bs(psi_f, region.hi, band, arr))
 
@@ -427,18 +423,11 @@ def estimate_bsup(arr: ArrayConfig, r: float, snr: float, psi_m: float = 1.0,
     if not 0.0 < tol_b < 2.0:
         raise ConfigError(
             f"tol_b must be in (0, 2), the width of the b bracket, got {tol_b}")
-    _require_psi_m(psi_m)
 
     def feasible(b: float) -> bool:
         band = BandConfig(b=b, n_f=n_f, snr=snr)
         c_t = capacity_threshold(r, band, arr)
-        for build in (_odd_codebook, _even_codebook):
-            try:
-                build(psi_m, c_t, band, arr)
-                return True
-            except InfeasibleError:
-                pass
-        return False
+        return any(isinstance(o, Codebook) for o in _parities(psi_m, c_t, band, arr))
 
     lo, hi = 0.0, 2.0
     for _ in range(_BSUP_MAX_ITER):

@@ -5,8 +5,8 @@ all inputs (including any RNG seed), so :func:`rerun` can reproduce the
 rows bit for bit.  Sweep points are evaluated one after another, in
 parameter order, on the calling thread: each is Python root-solver steps
 around small capacity calls, so threads would only contend for the GIL.
-``BEAMSQUINT_THREADS`` splits only the large capacity evaluations inside a
-point, see :func:`~beamsquint.capacity.capacity_bs`.
+Only the large capacity evaluations inside a point are split over the
+cores, see :func:`~beamsquint.capacity.capacity_bs`.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .array_model import ArrayConfig, gain_mag
-from .capacity import (R_3DB, BandConfig, capacity_bs, capacity_nbs,
-                       capacity_threshold, spectral_efficiency_bs, squint_safe_range)
+from .capacity import (R_3DB, BandConfig, _require_visible, capacity_bs,
+                       capacity_nbs, capacity_threshold, spectral_efficiency_bs,
+                       squint_safe_range)
 from .codebook import (_focus_grid, assess_feasibility, estimate_bsup,
                        improvement_max, improvement_ratio)
 from .errors import ConfigError
@@ -91,6 +92,8 @@ def sweep_capacity_vs_bandwidth(arrays: Sequence[ArrayConfig], psi_f: float,
     if not all(0.0 < bw < math.inf for bw in bandwidth_range_hz):
         raise ConfigError("bandwidth_range_hz must be finite and positive, "
                           f"got {tuple(bandwidth_range_hz)}")
+    _require_visible("psi_f", psi_f)
+    _require_visible("psi", psi)
     bws = np.logspace(math.log10(bandwidth_range_hz[0]),
                       math.log10(bandwidth_range_hz[1]), steps)
     columns = [("bandwidth", "Hz")]

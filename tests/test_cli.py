@@ -179,13 +179,20 @@ class TestConfigErrors:
         ["bsup", "--antennas", "8", "--snr-db", "0", "--tol-b", "2"],
         ["design", "--antennas", "16", "--bandwidth-hz", "1e9", "--carrier-hz",
          "inf", "--snr-db", "0", "--subcarriers", "64", "--psi-m", "0.1"],
+        ["improvement", "--antennas", "4", "--frac-bandwidth", "0.03",
+         "--snr-db", "0", "--psi-f", "1.2", "--subcarriers", "64"],
+        ["improvement", "--antennas", "16", "--frac-bandwidth", "0.03",
+         "--snr-db", "0", "--psi-f", "-1.05", "--subcarriers", "64"],
+        ["sweep", "--kind", "capacity-vs-bandwidth", "--n-list", "16",
+         "--psi-f", "3", "--psi", "3", "--steps", "2"],
     ], ids=["snr-nan", "snr-inf", "ct-nan", "tol-b-nan", "x-min-nan",
             "psi-out-of-range", "psi-f-step-0", "psi-f-step-nan",
             "psi-f-step-negative", "bw-min-negative", "bw-min-0",
             "sweep-psi-f-nan", "tol-b-inf", "improvement-psi-f-nan",
             "b-max-nan", "b-max-negative", "fact1-samples-negative",
             "seed-negative", "unused-nan-b", "snr-db-overflow",
-            "tol-b-bracket-width", "carrier-inf"])
+            "tol-b-bracket-width", "carrier-inf", "improvement-psi-f-above-1",
+            "improvement-psi-f-below-minus-1", "sweep-angles-out-of-range"])
     def test_non_finite_or_out_of_domain_exits_2(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 2

@@ -10,7 +10,7 @@ from beamsquint import (ArrayConfig, BandConfig, Beam, Codebook, ConfigError, Do
                         estimate_bsup, fit_bsup_constant, improvement_max,
                         improvement_ratio, solve_focus_from_left, solve_left_edge,
                         solve_right_edge, traditional_min_capacity)
-from beamsquint import workers
+from beamsquint import codebook
 from beamsquint.codebook import _coverage_grid
 
 from oracles import (both_parity_bsup, exhaustive_coverage_check, ref_halfwidth,
@@ -246,8 +246,7 @@ def squint_ignoring(n, band):
     pairs = math.ceil((1.0 - w) / (2 * w))
     beams = tuple(Beam(focus=2 * w * k, left=2 * w * k - w, right=2 * w * k + w)
                   for k in range(-pairs, pairs + 1))
-    return Codebook(beams=beams, psi_m=1.0, c_t=capacity_threshold_3db(band, arr),
-                    parity="odd" if len(beams) % 2 else "even")
+    return Codebook(beams=beams, psi_m=1.0, c_t=capacity_threshold_3db(band, arr))
 
 
 class TestCoverageCheck:
@@ -264,7 +263,7 @@ class TestCoverageCheck:
         cb = design_codebook(1.0, threshold(band, arr), band, arr)
         for i in range(cb.size):
             pruned = Codebook(beams=cb.beams[:i] + cb.beams[i + 1:],
-                              psi_m=cb.psi_m, c_t=cb.c_t, parity=cb.parity)
+                              psi_m=cb.psi_m, c_t=cb.c_t)
             assert not coverage_check(pruned, band, arr, grid_step=1e-3), i
 
     def test_squint_ignoring_codebook_fails(self):
@@ -288,8 +287,7 @@ class TestCoverageCheck:
         arr = ArrayConfig(16)
         band = band_for(0.0179, n_f=256)
         cb = design_codebook(1.0, threshold(band, arr), band, arr)
-        shuffled = Codebook(beams=cb.beams[::-1], psi_m=cb.psi_m, c_t=cb.c_t,
-                            parity=cb.parity)
+        shuffled = Codebook(beams=cb.beams[::-1], psi_m=cb.psi_m, c_t=cb.c_t)
         assert coverage_check(shuffled, band, arr, grid_step=1e-2)
 
     @pytest.mark.parametrize("psi_m, step, count", [
@@ -309,11 +307,6 @@ class TestCoverageCheck:
 class TestCoverageScreen:
     """coverage_check proves most grid points with the capacity slope bound;
     its verdict must equal the point-by-point reference in every case."""
-
-    @pytest.fixture(autouse=True)
-    def all_cores(self, monkeypatch):
-        # Verdicts do not depend on threads; the reference is the slow side.
-        monkeypatch.setenv("BEAMSQUINT_THREADS", str(workers.usable_cores()))
 
     def same_verdict(self, cb, band, arr, step, expected):
         assert coverage_check(cb, band, arr, grid_step=step) is expected
@@ -345,7 +338,7 @@ class TestCoverageScreen:
         cb, arr = designed(16, band)
         for i in range(cb.size):
             pruned = Codebook(beams=cb.beams[:i] + cb.beams[i + 1:],
-                              psi_m=cb.psi_m, c_t=cb.c_t, parity=cb.parity)
+                              psi_m=cb.psi_m, c_t=cb.c_t)
             self.same_verdict(pruned, band, arr, step, False)
 
     @pytest.mark.parametrize("step", [1e-3, 1e-4])
@@ -356,8 +349,7 @@ class TestCoverageScreen:
     def test_reversed_book(self):
         band = band_for(0.0179, n_f=256)
         cb, arr = designed(16, band)
-        reversed_ = Codebook(beams=cb.beams[::-1], psi_m=cb.psi_m, c_t=cb.c_t,
-                             parity=cb.parity)
+        reversed_ = Codebook(beams=cb.beams[::-1], psi_m=cb.psi_m, c_t=cb.c_t)
         self.same_verdict(reversed_, band, arr, 1e-3, True)
 
     def test_nudged_focus_opens_a_small_hole(self):
@@ -370,8 +362,7 @@ class TestCoverageScreen:
         k = cb.size // 2 + 2
         beams = list(cb.beams)
         beams[k] = Beam(beams[k].focus + 3.5 * step, beams[k].left, beams[k].right)
-        nudged = Codebook(beams=tuple(beams), psi_m=cb.psi_m, c_t=cb.c_t,
-                          parity=cb.parity)
+        nudged = Codebook(beams=tuple(beams), psi_m=cb.psi_m, c_t=cb.c_t)
         grid = _coverage_grid(1.0, step)
         near = grid[np.abs(grid - cb.beams[k].left) < 20 * step]
         foci = np.array([beam.focus for beam in beams])[:, np.newaxis]
@@ -459,6 +450,29 @@ class TestBandwidthLimit:
         for snr in (1.0, 10 ** 0.3):
             assert estimate_bsup(arr, SQRT2_OVER_2, snr, tol_b=1e-6, n_f=16) == \
                 both_parity_bsup(arr, SQRT2_OVER_2, snr, tol_b=1e-6, n_f=16)
+
+    def test_probe_builds_the_even_chain_only_after_the_odd_one_fails(self, monkeypatch):
+        calls = []
+
+        def spy(name, build):
+            def traced(*args):
+                try:
+                    book = build(*args)
+                except InfeasibleError:
+                    calls.append((name, False))
+                    raise
+                calls.append((name, True))
+                return book
+            return traced
+
+        monkeypatch.setattr(codebook, "_odd_codebook", spy("odd", codebook._odd_codebook))
+        monkeypatch.setattr(codebook, "_even_codebook", spy("even", codebook._even_codebook))
+        estimate_bsup(ArrayConfig(16), SQRT2_OVER_2, snr=1.0, tol_b=1e-3, n_f=64)
+        assert calls[0][0] == "odd"
+        assert ("odd", True) in calls
+        for before, call in zip(calls, calls[1:]):
+            if call[0] == "even":
+                assert before == ("odd", False)
 
     def test_psi_m_domain(self):
         with pytest.raises(DomainError):

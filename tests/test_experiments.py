@@ -249,11 +249,3 @@ class TestDeterminism:
     def test_rerun_rejects_unknown_kind(self):
         with pytest.raises(ConfigError):
             rerun({"sweep": "nope"})
-
-    def test_thread_env_does_not_change_rows(self, monkeypatch):
-        base = sweep_codebook_size_vs_n([0.02], [8, 16, 24], r=SQRT2_OVER_2,
-                                        snr=1.0, n_f=256)
-        monkeypatch.setenv("BEAMSQUINT_THREADS", "3")
-        threaded = sweep_codebook_size_vs_n([0.02], [8, 16, 24], r=SQRT2_OVER_2,
-                                            snr=1.0, n_f=256)
-        assert threaded.rows == base.rows
