@@ -170,18 +170,31 @@ def gain_mag(x: ArrayLike, cfg: ArrayConfig) -> float | np.ndarray:
     return out
 
 
-def _gain_ratio(xs: np.ndarray, n: int) -> np.ndarray:
-    """Signed real ratio sin(N*pi*x/2)/(sqrt(N)*sin(pi*x/2)), limit-filled."""
+def _gain_ratio(xs: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Signed real ratio sin(N*pi*x/2)/(sqrt(N)*sin(pi*x/2)), limit-filled.
+
+    Written into ``out`` when given, which may be ``xs`` itself, and
+    otherwise into the buffer that held the denominator's magnitude; the
+    denominator takes the one other full-size buffer, and no mask is built
+    unless a singular point exists.
+    """
     root_n = math.sqrt(n)
-    denom = np.sin(0.5 * math.pi * xs)
-    singular = np.abs(denom) < _SINGULARITY_EPS
-    safe = np.where(singular, 1.0, denom)
-    ratio = np.sin(0.5 * n * math.pi * xs) / (root_n * safe)
-    if np.any(singular):
+    # Explicit buffers keep 0-d inputs arrays, so every step runs in place.
+    denom = np.multiply(xs, 0.5 * math.pi, out=np.empty(xs.shape))
+    np.sin(denom, out=denom)
+    mag = np.abs(denom, out=np.empty(xs.shape))
+    singular = None
+    if mag.size and mag.min() < _SINGULARITY_EPS:
         # L'Hopital at x = 2k: the ratio tends to sqrt(N) * (-1)^(k*(N-1)).
-        # Only the singular elements are filled, in place, so a large
-        # array with one singular point costs no full-size temporaries.
-        ratio = np.asarray(ratio)
-        k = np.rint(0.5 * xs[singular]).astype(np.int64)
-        ratio[singular] = np.where((k * (n - 1)) % 2 == 0, root_n, -root_n)
+        # The flat indices of the singular points are the only new array.
+        singular = np.flatnonzero(np.less(mag, _SINGULARITY_EPS, out=mag))
+        k = np.rint(0.5 * xs.flat[singular]).astype(np.int64)
+        limit = np.where((k * (n - 1)) % 2 == 0, root_n, -root_n)
+        denom.flat[singular] = 1.0
+    ratio = np.multiply(xs, 0.5 * n * math.pi, out=mag if out is None else out)
+    np.sin(ratio, out=ratio)
+    np.multiply(denom, root_n, out=denom)
+    np.divide(ratio, denom, out=ratio)
+    if singular is not None:
+        ratio.flat[singular] = limit
     return ratio

@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .array_model import ArrayConfig, gain_mag, subcarrier_grid
+from .array_model import ArrayConfig, _gain_ratio, gain_mag, subcarrier_grid
 from .errors import ConfigError, DomainError, InfeasibleError
 from .roots import bisect
 
@@ -124,7 +124,10 @@ def capacity_bs(psi_f: ArrayLike, psi: ArrayLike, band: BandConfig,
     in blocks of about 2**16 angle-subcarrier pairs, which keeps each
     block in cache, and spreads the blocks over up to one thread per core
     in the process's CPU affinity mask; every entry is bit-identical to
-    the scalar call at that angle and focus.
+    the scalar call at that angle and focus.  Both paths compute the
+    rate sum in place, in two buffers of the call's size besides the
+    squinted angles, with the same bits as the plain expression
+    B/n_f * sum(log2(1 + snr*gain_mag(x)**2)).
     At zero fractional bandwidth the subcarrier grid collapses and this is
     exactly :func:`capacity_nbs`.
     """
@@ -132,16 +135,25 @@ def capacity_bs(psi_f: ArrayLike, psi: ArrayLike, band: BandConfig,
         return capacity_nbs(psi_f, psi, band, arr)
     pf, ps = np.asarray(psi_f, dtype=float), np.asarray(psi, dtype=float)
     if pf.ndim == 0 and ps.ndim == 0:
-        return float(_rate_sum(band.ratios * float(ps) - float(pf), band, arr))
+        x = np.multiply(band.ratios, float(ps))
+        return float(_rate_sum(np.subtract(x, float(pf), out=x), band, arr))
     pf, ps = np.broadcast_arrays(pf, ps)
     return _capacity_rows(pf.ravel(), ps.ravel(), band, arr).reshape(ps.shape)
 
 
 def _rate_sum(x: np.ndarray, band: BandConfig, arr: ArrayConfig) -> np.ndarray:
     """Squinted capacity from the squinted angles ``x``, one subcarrier per
-    entry along the last axis."""
-    return band.bandwidth / band.n_f * np.sum(
-        np.log2(1.0 + band.snr * gain_mag(x, arr) ** 2), axis=-1)
+    entry along the last axis; ``x`` is overwritten.
+
+    Equals B/n_f * sum(log2(1 + snr*gain_mag(x)**2)) bit for bit: the
+    signed gain ratio squares to the same bits as its magnitude.
+    """
+    g = _gain_ratio(x, arr.n_antennas, out=x)
+    np.square(g, out=g)
+    np.multiply(g, band.snr, out=g)
+    np.add(g, 1.0, out=g)
+    np.log2(g, out=g)
+    return band.bandwidth / band.n_f * g.sum(axis=-1)
 
 
 def _capacity_rows(pf: np.ndarray, ps: np.ndarray, band: BandConfig,
@@ -154,7 +166,8 @@ def _capacity_rows(pf: np.ndarray, ps: np.ndarray, band: BandConfig,
     out = np.empty(len(ps))
 
     def block(s: slice) -> None:
-        out[s] = _rate_sum(band.ratios * ps[s, np.newaxis] - pf[s, np.newaxis], band, arr)
+        x = np.multiply(band.ratios, ps[s, np.newaxis])
+        out[s] = _rate_sum(np.subtract(x, pf[s, np.newaxis], out=x), band, arr)
 
     workers = min(len(blocks), _usable_cores())
     if workers <= 1:

@@ -10,6 +10,7 @@ across repeated runs with identical flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .array_model import ArrayConfig
@@ -275,7 +276,11 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared: parsing
+    keeps no state in it, and help and error text are formatted at call
+    time."""
     parser = argparse.ArgumentParser(
         prog="beamsquint",
         description="Beam squint analysis and capacity-constrained codebook design "

@@ -6,13 +6,17 @@ broadside, codebooks that tile [-psi_m, psi_m] cannot use a fixed beam
 pitch; instead beams are chained outward one by one, each new beam's left
 coverage edge abutting the previous beam's right edge.  Both a broadside-
 centred (odd-size) and an edge-started (even-size) chain are built and the
-smaller codebook wins; a feasibility probe builds the even chain only when
-the odd one fails.
+smaller codebook wins; a feasibility probe builds one chain, the parity
+that succeeded on the previous feasible probe first, and the other only
+when that one fails.
 
 Coverage edges and focus angles have no closed form; each is the root of a
 monotone capacity equation on a bracket of half the no-squint beamwidth and
 is found by the bracketed secant solver of :mod:`beamsquint.roots`, on the
-side of the root where the beam meets c_t exactly.  When the capacity at a
+side of the root where the beam meets c_t exactly.  Each solve after a
+chain's first beam starts from a root predicted from the chain's own
+earlier beams, which narrows the bracket to about the prediction's error;
+nothing is carried from one chain to the next.  When the capacity at a
 required focus cannot reach the threshold, no codebook exists for that
 fractional bandwidth; the largest workable bandwidth is itself located by
 bisection on feasibility.
@@ -63,6 +67,14 @@ _SCREEN_ALLOWANCE = 1e-9
 # Grid points per all-beam call of coverage_check's fallback: few enough
 # that an uncovered point ends the check early, many enough to batch.
 _FALLBACK_POINTS = 8
+
+# A chain solve's predicted bracket spreads this many times the error of
+# the previous prediction past the prediction, and at least _MIN_SPREAD.
+_SPREAD_GAIN = 4.0
+_MIN_SPREAD = 1e-9
+# Error assumed, as a share of the offset, for the first prediction of a
+# chain, which repeats the first beam's offset.
+_FIRST_ERROR = 2.5e-3
 
 
 @dataclass(frozen=True)
@@ -124,14 +136,18 @@ class BsupFit:
 
 
 def solve_right_edge(psi_f: float, c_t: float, band: BandConfig,
-                     arr: ArrayConfig) -> float:
+                     arr: ArrayConfig, *, half: float | None = None,
+                     guess: float | None = None, spread: float = 0.0) -> float:
     """Right coverage edge of a beam focused on ``psi_f``.
 
     The squinted capacity decreases from its value at the focus through
     c_t somewhere inside half a no-squint beamwidth; the returned edge is
     the solver's end of that crossing where the capacity still meets c_t.
     With zero fractional bandwidth the edge sits exactly on the no-squint
-    bracket boundary.
+    bracket boundary.  ``half``, that half-width when the caller already
+    has it, and a predicted edge ``guess`` with its ``spread`` are passed
+    on to :func:`~beamsquint.roots.bisect`; the edge meets the same
+    conditions with or without them.
 
     Raises
     ------
@@ -139,9 +155,10 @@ def solve_right_edge(psi_f: float, c_t: float, band: BandConfig,
         If the capacity at the focus itself is already below ``c_t`` (the
         local signal that the fractional bandwidth is too large).
     """
-    half = beamwidth_nbs(c_t, band, arr) / 2.0
-    edge = bisect(
-        lambda psi: capacity_bs(psi_f, psi, band, arr) - c_t, psi_f, psi_f + half)
+    if half is None:
+        half = beamwidth_nbs(c_t, band, arr) / 2.0
+    edge = bisect(lambda psi: capacity_bs(psi_f, psi, band, arr) - c_t,
+                  psi_f, psi_f + half, guess, spread)
     if edge is None:
         raise InfeasibleError(
             f"capacity at focus {psi_f} is below the threshold", psi_f)
@@ -165,13 +182,15 @@ def solve_left_edge(psi_f: float, c_t: float, band: BandConfig,
 
 
 def solve_focus_from_left(psi_l: float, c_t: float, band: BandConfig,
-                          arr: ArrayConfig) -> float:
+                          arr: ArrayConfig, *, half: float | None = None,
+                          guess: float | None = None, spread: float = 0.0) -> float:
     """Focus angle whose coverage starts exactly at ``psi_l``.
 
     As the focus moves right of ``psi_l`` the capacity delivered at
     ``psi_l`` falls; the focus is the point where it hits c_t, bracketed
     within half a no-squint beamwidth of ``psi_l``, taken on the side where
-    the capacity at ``psi_l`` still meets c_t.
+    the capacity at ``psi_l`` still meets c_t.  ``half``, ``guess`` and
+    ``spread`` are as in :func:`solve_right_edge`.
 
     Raises
     ------
@@ -179,28 +198,75 @@ def solve_focus_from_left(psi_l: float, c_t: float, band: BandConfig,
         If even a beam focused on ``psi_l`` itself cannot reach ``c_t``
         there (no bracketed root exists).
     """
-    half = beamwidth_nbs(c_t, band, arr) / 2.0
-    focus = bisect(
-        lambda pf: capacity_bs(pf, psi_l, band, arr) - c_t, psi_l, psi_l + half)
+    if half is None:
+        half = beamwidth_nbs(c_t, band, arr) / 2.0
+    focus = bisect(lambda pf: capacity_bs(pf, psi_l, band, arr) - c_t,
+                   psi_l, psi_l + half, guess, spread)
     if focus is None:
         raise InfeasibleError(
             f"no focus can deliver the threshold at left edge {psi_l}", psi_l)
     return focus
 
 
+class _Offsets:
+    """One offset along a chain (focus - left, or right - focus): the next
+    beam's value extrapolated from the last ones, and the spread of that
+    prediction from the error of the one before."""
+
+    def __init__(self):
+        self.seen: list[float] = []
+        self.guess: float | None = None
+        self.spread = 0.0
+
+    def predict(self, base: float) -> tuple[float | None, float]:
+        """``base`` plus the predicted offset (``None`` before the first
+        beam), and the spread."""
+        s = self.seen
+        if len(s) >= 3:
+            self.guess = 3.0 * (s[-1] - s[-2]) + s[-3]
+        elif len(s) == 2:
+            self.guess = 2.0 * s[-1] - s[-2]
+        elif s:
+            self.guess = s[-1]
+        return (None if self.guess is None else base + self.guess), self.spread
+
+    def observe(self, offset: float) -> None:
+        # Before the first prediction, a fixed share of the offset stands
+        # in for the error.
+        error = (_FIRST_ERROR * abs(offset) if self.guess is None
+                 else abs(offset - self.guess))
+        self.spread = max(_SPREAD_GAIN * error, _MIN_SPREAD)
+        self.seen = [*self.seen[-2:], offset]
+
+
 def _grow_chain(start_right: float, psi_m: float, c_t: float, band: BandConfig,
                 arr: ArrayConfig) -> list[tuple[float, float, float]]:
-    """Chain (focus, left, right) triples rightward until psi_m is covered."""
+    """Chain (focus, left, right) triples rightward until psi_m is covered.
+
+    Beams change slowly along a chain, so each solve after the first beam
+    starts from a prediction: its offset (focus - left, or right - focus)
+    extrapolated quadratically from the chain's last three beams, or
+    linearly from two, with a spread of ``_SPREAD_GAIN`` times the previous
+    prediction's error.  The first beam's solves use the full bracket.
+    """
+    half = beamwidth_nbs(c_t, band, arr) / 2.0
+    to_focus, to_edge = _Offsets(), _Offsets()
     out: list[tuple[float, float, float]] = []
     right = start_right
     while right < psi_m:
         left = right
-        focus = solve_focus_from_left(left, c_t, band, arr)
-        edge = solve_right_edge(focus, c_t, band, arr)
+        guess, spread = to_focus.predict(left)
+        focus = solve_focus_from_left(left, c_t, band, arr, half=half,
+                                      guess=guess, spread=spread)
+        guess, spread = to_edge.predict(focus)
+        edge = solve_right_edge(focus, c_t, band, arr, half=half,
+                                guess=guess, spread=spread)
         if edge - left < _MIN_BEAM_WIDTH:
             raise InfeasibleError(
                 f"beam coverage collapsed below solver resolution at focus {focus}",
                 focus)
+        to_focus.observe(focus - left)
+        to_edge.observe(edge - focus)
         out.append((focus, left, edge))
         right = edge
         if len(out) > _MAX_BEAMS:
@@ -248,13 +314,15 @@ def design_codebook(psi_m: float, c_t: float, band: BandConfig,
     return min(books, key=lambda cb: cb.size)
 
 
-def _parities(psi_m: float, c_t: float, band: BandConfig,
-              arr: ArrayConfig) -> Iterator[Codebook | InfeasibleError]:
-    """The odd and then the even codebook, or the error that stopped each;
-    a parity is built only when the caller asks for it."""
+def _parities(psi_m: float, c_t: float, band: BandConfig, arr: ArrayConfig,
+              first: str = "odd") -> Iterator[Codebook | InfeasibleError]:
+    """The codebook of the ``first`` parity and then of the other, or the
+    error that stopped each; a parity is built only when the caller asks
+    for it."""
     if not 0.0 < psi_m <= 1.0:
         raise DomainError(f"psi_m must be in (0, 1], got {psi_m}")
-    for build in (_odd_codebook, _even_codebook):
+    builds = (_odd_codebook, _even_codebook)
+    for build in builds if first == "odd" else builds[::-1]:
         try:
             yield build(psi_m, c_t, band, arr)
         except InfeasibleError as exc:
@@ -417,17 +485,28 @@ def estimate_bsup(arr: ArrayConfig, r: float, snr: float, psi_m: float = 1.0,
     Bisects feasibility of :func:`design_codebook` over b in [0, 2); zero
     bandwidth is always feasible.  Feasibility is monotone in b across the
     sampled parameter space, which the test suite checks empirically.  A
-    probe needs only some codebook, not the smallest, so it builds the odd
-    chain and builds the even chain only when the odd one fails.
+    probe needs only some codebook, not the smallest, so it builds one
+    chain and the other only when the first fails.  The first is the
+    parity that succeeded on the last feasible probe, odd until one has:
+    near the limit one parity often survives where the other fails, and
+    neighbouring probes tend to share it.  Every probe's verdict, and so
+    the result, is that of a full two-parity design.
     """
     if not 0.0 < tol_b < 2.0:
         raise ConfigError(
             f"tol_b must be in (0, 2), the width of the b bracket, got {tol_b}")
 
+    first = "odd"
+
     def feasible(b: float) -> bool:
+        nonlocal first
         band = BandConfig(b=b, n_f=n_f, snr=snr)
         c_t = capacity_threshold(r, band, arr)
-        return any(isinstance(o, Codebook) for o in _parities(psi_m, c_t, band, arr))
+        for outcome in _parities(psi_m, c_t, band, arr, first):
+            if isinstance(outcome, Codebook):
+                first = outcome.parity
+                return True
+        return False
 
     lo, hi = 0.0, 2.0
     for _ in range(_BSUP_MAX_ITER):

@@ -6,8 +6,12 @@ Anderson-Bjorck secant point of the bracket, which converges superlinearly
 on the smooth capacity and gain curves, and projects it into the ITP
 interval around the midpoint (Oliveira & Takahashi, ACM TOMS 47(1), 2020).
 The projection caps the step count at bisection's plus ``SLACK`` on any
-monotone function.  The steps are deterministic, so every run is
-bit-reproducible.
+monotone function.  A caller that can predict the root, as a codebook chain
+can from its earlier beams, passes the prediction and a spread: the first
+two steps then probe the prediction and a point one spread past it, under
+the same projection, so a good prediction leaves a narrow bracket and a bad
+one costs no step beyond the bound.  The steps are deterministic, so every
+run is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -19,11 +23,14 @@ TOL = 1e-10
 # Steps allowed beyond bisection's count.  The projection leaves a secant
 # point free while the bracket can still close within bisection's count
 # plus this margin; on the package's capacity roots a margin of 2 costs no
-# step that a larger one saves, and 1 does.
+# step that a larger one saves, and 1 does.  With 2, the first two steps
+# may take any point at least TOL/2 inside the bracket, so the two probes
+# of a prediction are never moved further than that.
 SLACK = 2
 
 
-def bisect(f: Callable[[float], float], good: float, bad: float) -> float | None:
+def bisect(f: Callable[[float], float], good: float, bad: float,
+           guess: float | None = None, spread: float = 0.0) -> float | None:
     """Point of the bracket ``[good, bad]`` that meets ``f >= 0`` within
     ``TOL`` of the crossing, assuming ``f(good) >= 0 > f(bad)``.
 
@@ -33,18 +40,30 @@ def bisect(f: Callable[[float], float], good: float, bad: float) -> float | None
     boundary, e.g. the zero-bandwidth degenerate case).  Otherwise returns
     the end of the final bracket at which ``f >= 0``, once the bracket is at
     most ``TOL`` wide; that takes at most ``ceil(log2(|bad - good| / TOL))
-    + SLACK`` steps of one evaluation each.
+    + SLACK`` steps of one evaluation each, besides the two ends.
+
+    ``guess``, a predicted root, makes the first step evaluate ``f`` there
+    and the second ``spread`` past it, on the side where the first step
+    left the root; a root between the two leaves a bracket about
+    ``spread`` wide.  Both steps obey the same projection as the secant
+    steps, so a guess at or past either end, or far off, keeps the bound.
+    ``f(bad)`` is evaluated only when the bracket still ends at ``bad``
+    after the probes.
     """
     fg = f(good)
     if fg < 0.0:
         return None
-    fb = f(bad)
-    if fb >= 0.0:
-        return bad
     width = abs(bad - good)
-    n_max = max(math.ceil(math.log2(width / TOL)), 0) + SLACK
-    side = 0  # +1 / -1: the previous step moved the good / bad end
+    n_max = math.ceil(math.log2(max(width, TOL) / TOL)) + SLACK
+    fb = None  # f(bad): not needed unless bad is still an end after the probes
+    probes = 0 if guess is None else 2
+    side = 0  # +1 / -1: the previous secant step moved the good / bad end
     for j in range(n_max):
+        secant = j >= probes
+        if secant and fb is None:
+            fb = f(bad)
+            if fb >= 0.0:
+                return bad
         if width <= TOL:
             break
         # Both limits are symmetric about the midpoint: ITP's radius, and
@@ -53,19 +72,26 @@ def bisect(f: Callable[[float], float], good: float, bad: float) -> float | None
         mid = 0.5 * (good + bad)
         radius = max(min(TOL * 2.0 ** (n_max - j - 1) - 0.5 * width,
                          0.5 * (width - TOL)), 0.0)
-        x = (good * fb - bad * fg) / (fb - fg)
-        if not abs(x - mid) <= radius:  # also a NaN secant point
+        x = (good * fb - bad * fg) / (fb - fg) if secant else guess
+        if not abs(x - mid) <= radius:  # also a NaN point
             x = mid + math.copysign(radius, x - mid)
         fx = f(x)
         if fx >= 0.0:
             if side > 0:
                 fb *= _damping(fx, fg)
-            good, fg, side = x, fx, 1
+            good, fg, side = x, fx, 1 if secant else 0
+            # The root lies toward bad: the next probe goes that way.
+            guess = x + math.copysign(spread, bad - x)
         else:
             if side < 0:
                 fg *= _damping(fx, fb)
-            bad, fb, side = x, fx, -1
+            bad, fb, side = x, fx, -1 if secant else 0
+            guess = x + math.copysign(spread, good - x)
         width = abs(bad - good)
+    if fb is None:
+        fb = f(bad)
+        if fb >= 0.0:
+            return bad
     return good
 
 

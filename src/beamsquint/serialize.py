@@ -9,6 +9,7 @@ output normally.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from typing import Any
@@ -35,6 +36,12 @@ def _all_floats(values) -> bool:
     return all(issubclass(t, float) for t in set(map(type, values)))
 
 
+def _float_rows(rows) -> bool:
+    """True when every entry is a non-empty list or tuple of floats."""
+    return (all(isinstance(r, (list, tuple)) and r for r in rows)
+            and _all_floats(itertools.chain.from_iterable(rows)))
+
+
 def _emit(obj: Any, level: int) -> str:
     pad = _INDENT * (level + 1)
     close_pad = _INDENT * level
@@ -51,7 +58,10 @@ def _emit(obj: Any, level: int) -> str:
             return "[" + ", ".join(map(format_float, obj)) + "]"
         if all(_is_scalar(v) for v in obj):
             return "[" + ", ".join(_emit(v, level + 1) for v in obj) + "]"
-        parts = [f"{pad}{_emit(v, level + 1)}" for v in obj]
+        if _float_rows(obj):  # a table: each row is a float list, as above
+            parts = [pad + "[" + ", ".join(map(format_float, row)) + "]" for row in obj]
+        else:
+            parts = [f"{pad}{_emit(v, level + 1)}" for v in obj]
         return "[\n" + ",\n".join(parts) + "\n" + close_pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"

@@ -3,9 +3,9 @@
 These deliberately avoid the library's solvers: magnitudes come from the
 closed form written out here, widths from a fresh bisection on it, and
 roots from brute-force grid scans.  The exception is the straightforward
-versions of the package's screened or early-stopping paths, which those
-paths must agree with: ``exhaustive_coverage_check`` and
-``both_parity_bsup``.
+versions of the package's screened, early-stopping or in-place paths,
+which those paths must agree with: ``ref_capacity_bs``,
+``exhaustive_coverage_check`` and ``both_parity_bsup``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from beamsquint import BandConfig, assess_feasibility, capacity_bs, capacity_threshold
+from beamsquint import (BandConfig, assess_feasibility, capacity_bs, capacity_threshold,
+                        gain_mag)
 from beamsquint.codebook import _coverage_grid
 
 
@@ -24,6 +25,15 @@ def ref_gain_mag(x: float, n: int) -> float:
     if s == 0.0:
         return math.sqrt(n)
     return abs(math.sin(n * math.pi * x / 2.0) / (math.sqrt(n) * s))
+
+
+def ref_capacity_bs(psi_f: float, psi: float, band, arr) -> float:
+    """Squinted capacity as one plain numpy expression, B/n_f * sum(log2(1 +
+    snr*gain_mag(x)**2)) over the squinted angles x; the package's in-place
+    kernel must equal it bit for bit."""
+    x = band.ratios * psi - psi_f
+    return float(band.bandwidth / band.n_f * np.sum(
+        np.log2(1.0 + band.snr * gain_mag(x, arr) ** 2), axis=-1))
 
 
 def ref_halfwidth(r: float, n: int) -> float:

@@ -18,7 +18,7 @@ from beamsquint import (ArrayConfig, BandConfig, ConfigError, DomainError,
 from beamsquint import capacity
 from beamsquint.capacity import _capacity_rows, _usable_cores, capacity_slope_bound
 
-from oracles import ref_halfwidth
+from oracles import ref_capacity_bs, ref_halfwidth
 
 SQRT2_OVER_2 = math.sqrt(2.0) / 2.0
 
@@ -274,6 +274,28 @@ class TestCapacityBs:
         for psi_f, psi in rng.uniform(-1, 1, size=(50, 2)):
             assert capacity_bs(psi_f, psi, band, arr64) == \
                 capacity_bs(-psi_f, -psi, band, arr64)
+
+
+class TestRateSumKernel:
+    @pytest.mark.parametrize("n", [2, 3, 16, 64, 128])
+    @pytest.mark.parametrize("n_f", [8, 256, 2048])
+    @pytest.mark.parametrize("hz", [False, True])
+    def test_scalar_and_vector_equal_the_plain_expression(self, n, n_f, hz):
+        # The kernel squares the signed gain ratio in place; every bit must
+        # be that of the plain expression, also at exact singular points:
+        # psi = psi_f = 0 (every subcarrier) and psi_f = xi_k*psi (one).
+        arr = ArrayConfig(n)
+        band = (BandConfig.from_hz(0.05 * 28e9, 28e9, n_f=n_f, snr=2.0) if hz
+                else BandConfig(b=0.05, n_f=n_f, snr=2.0))
+        rng = np.random.default_rng(n * n_f)
+        foci = [*rng.uniform(-1.0, 1.0, 12), 0.0, 1.0, -1.0,
+                float(band.ratios[1] * 0.7), float(band.ratios[n_f // 2] * -0.4)]
+        psis = [*rng.uniform(-1.0, 1.0, 12), 0.0, 1.0, 1.0, 0.7, -0.4]
+        assert not band.ratios[1] * 0.7 - foci[-2]
+        assert not band.ratios[n_f // 2] * -0.4 - foci[-1]
+        expected = [ref_capacity_bs(f, p, band, arr) for f, p in zip(foci, psis)]
+        assert [capacity_bs(f, p, band, arr) for f, p in zip(foci, psis)] == expected
+        assert capacity_bs(np.array(foci), np.array(psis), band, arr).tolist() == expected
 
 
 class TestCapacitySlopeBound:

@@ -366,6 +366,38 @@ class TestDeterminismAndOutput:
         _, second, _ = run_cli(argv, capsys)
         assert first == second
 
+    def test_shared_parser_answers_like_a_fresh_one(self, capsys):
+        # The parser is built once per process; parsing must leave nothing
+        # behind that changes a later call's output or exit code.
+        argvs = [
+            ["capacity", "--antennas", "16", "--frac-bandwidth", "0.03",
+             "--psi-f", "0.2", "--psi", "0.21", "--snr-db", "0", "--subcarriers", "64"],
+            ["--help"],
+            ["design", "--help"],
+            ["gain", "--antennas", "8", "--steps", "5", "--format", "json"],
+            ["design", "--antennas", "16", "--frac-bandwidth", "0.01", "--snr-db", "0",
+             "--bogus"],
+            ["design", "--antennas", "8", "--frac-bandwidth", "0.02", "--snr-db", "0",
+             "--subcarriers", "64", "--r", "0.5", "--ct", "1"],
+            ["design", "--antennas", "8", "--frac-bandwidth", "0.02", "--snr-db", "0",
+             "--subcarriers", "64", "--format", "csv"],
+            BANDWIDTH_SWEEP,
+            ["bsup", "--antennas", "8", "--snr-db", "0", "--tol-b", "0.01",
+             "--subcarriers", "16"],
+            [],
+        ]
+
+        def fresh(argv):
+            cli.build_parser.cache_clear()
+            return run_cli(argv, capsys)
+
+        expected = [fresh(argv) for argv in argvs]
+        assert {code for code, _, _ in expected} == {0, 2}
+        assert cli.build_parser() is cli.build_parser()
+        for _ in range(2):
+            assert [run_cli(argv, capsys) for argv in argvs] == expected
+        assert [run_cli(argv, capsys) for argv in reversed(argvs)] == expected[::-1]
+
     def test_out_file_matches_stdout(self, tmp_path, capsys):
         argv = ["gain", "--antennas", "8", "--steps", "11"]
         _, stdout_text, _ = run_cli(argv, capsys)

@@ -174,6 +174,28 @@ class TestDesignCodebook:
                 assert capacity_bs(beam.focus, beam.left - 1e-5, band, arr) < c_t
                 assert capacity_bs(beam.focus, beam.right + 1e-5, band, arr) < c_t
 
+    def test_paper_design_solves_on_predicted_brackets(self, monkeypatch):
+        # The paper's N=64 design, 2.5 GHz at 73 GHz and 0 dB: 169 solves
+        # over both chains.  Predicting each root from the chain's earlier
+        # beams keeps them under 900 capacity evaluations; the full
+        # brackets took 1,306.
+        counts = {"capacity": 0, "solves": 0}
+
+        def counting(key, fn):
+            def traced(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return traced
+
+        monkeypatch.setattr(codebook, "capacity_bs", counting("capacity", capacity_bs))
+        monkeypatch.setattr(codebook, "bisect", counting("solves", codebook.bisect))
+        arr = ArrayConfig(64)
+        band = BandConfig.from_hz(2.5e9, 73e9, n_f=2048, snr=1.0)
+        cb = design_codebook(1.0, capacity_threshold_3db(band, arr), band, arr)
+        assert cb.size == 84
+        assert counts["solves"] == 169
+        assert counts["capacity"] <= 900
+
     def test_odd_bookkeeping_counts_centre_plus_pairs(self):
         arr = ArrayConfig(16)
         band = band_for(0.0179)
@@ -451,7 +473,11 @@ class TestBandwidthLimit:
             assert estimate_bsup(arr, SQRT2_OVER_2, snr, tol_b=1e-6, n_f=16) == \
                 both_parity_bsup(arr, SQRT2_OVER_2, snr, tol_b=1e-6, n_f=16)
 
-    def test_probe_builds_the_even_chain_only_after_the_odd_one_fails(self, monkeypatch):
+    def test_probe_tries_the_last_feasible_parity_first(self, monkeypatch):
+        # Each probe first builds the parity that succeeded on the last
+        # feasible probe, odd before any has, and the other one only when
+        # that fails.  At N=8 and 3 dB only the even chain survives on the
+        # probes next to the limit, so both orders occur.
         calls = []
 
         def spy(name, build):
@@ -465,14 +491,38 @@ class TestBandwidthLimit:
                 return book
             return traced
 
+        parities = codebook._parities
+
+        def probe(*args):
+            calls.append(("probe", None))
+            return parities(*args)
+
         monkeypatch.setattr(codebook, "_odd_codebook", spy("odd", codebook._odd_codebook))
         monkeypatch.setattr(codebook, "_even_codebook", spy("even", codebook._even_codebook))
-        estimate_bsup(ArrayConfig(16), SQRT2_OVER_2, snr=1.0, tol_b=1e-3, n_f=64)
-        assert calls[0][0] == "odd"
-        assert ("odd", True) in calls
-        for before, call in zip(calls, calls[1:]):
-            if call[0] == "even":
-                assert before == ("odd", False)
+        monkeypatch.setattr(codebook, "_parities", probe)
+        other = {"odd": "even", "even": "odd"}
+        for n, snr in ((16, 1.0), (8, 10 ** 0.3)):
+            calls.clear()
+            estimate_bsup(ArrayConfig(n), SQRT2_OVER_2, snr=snr, tol_b=1e-3, n_f=64)
+            assert calls[0] == ("probe", None)
+            firsts, expected = [], "odd"
+            builds = []
+            for call in calls[1:] + [("probe", None)]:
+                if call[0] != "probe":
+                    builds.append(call)
+                    continue
+                # One probe: the expected parity, then the other only
+                # after a failure.
+                assert builds[0][0] == expected
+                assert len(builds) == 1 if builds[0][1] else len(builds) == 2
+                if len(builds) == 2:
+                    assert builds[1][0] == other[expected]
+                firsts.append(expected)
+                expected = next((name for name, ok in builds if ok), expected)
+                builds = []
+            assert ("odd", True) in calls
+            if n == 8:
+                assert "even" in firsts
 
     def test_psi_m_domain(self):
         with pytest.raises(DomainError):

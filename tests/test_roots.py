@@ -61,3 +61,71 @@ class TestBisect:
         assert calls[0] <= 4
         assert abs(x - ROOT) <= TOL
         assert sign * (ROOT - x) >= 0.0
+
+
+# (guess, spread) for the bracket [0, 1] around ROOT: a root inside the
+# predicted bracket, outside it on either side, a guess at or past either
+# end, and a guess that is far off or not a number.
+PREDICTIONS = {
+    "inside": (ROOT + 3e-7, 1e-6),
+    "inside-near": (ROOT - 2e-11, 1e-9),
+    "exact": (ROOT, 1e-9),
+    "no-spread": (ROOT + 1e-12, 0.0),
+    "outside-below": (ROOT - 1e-3, 1e-6),
+    "outside-above": (ROOT + 1e-3, 1e-6),
+    "spread-past-the-end": (ROOT + 1e-3, 10.0),
+    "at-good-end": (0.0, 1e-6),
+    "at-bad-end": (1.0, 1e-6),
+    "past-good-end": (-5.0, 1e-6),
+    "past-bad-end": (7.0, 1e-6),
+    "far-off-low": (1e-3, 1e-9),
+    "far-off-high": (0.999, 1e-9),
+    "infinite": (math.inf, 1e-6),
+    "nan": (math.nan, 1e-6),
+}
+SMOOTH = {
+    "linear": lambda x: ROOT - x,
+    "cubic": lambda x: (ROOT - x) * (1.0 + (x - 0.5) ** 2),
+    "cosine": lambda x: math.cos(3.0 * x) - math.cos(3.0 * ROOT),
+    **ADVERSARIAL,
+}
+
+
+class TestPredictedBracket:
+    @pytest.mark.parametrize("name", sorted(SMOOTH))
+    @pytest.mark.parametrize("where", sorted(PREDICTIONS))
+    @pytest.mark.parametrize("good, bad", [(0.0, 1.0), (1.0, 0.0)])
+    def test_any_prediction_finds_the_root_within_the_bound(self, name, where,
+                                                            good, bad):
+        sign = 1.0 if good < bad else -1.0
+        flip = (lambda x: x) if sign > 0 else (lambda x: 1.0 - x)
+        f, calls = counted(lambda x: SMOOTH[name](flip(x)))
+        guess, spread = PREDICTIONS[where]
+        x = bisect(f, good, bad, flip(guess), spread)
+        assert calls[0] <= math.ceil(math.log2(1.0 / TOL)) + SLACK + 2
+        assert abs(flip(x) - ROOT) <= TOL
+        assert SMOOTH[name](flip(x)) >= 0.0
+
+    @pytest.mark.parametrize("name", ["cosine", "steep-exponential"])
+    @pytest.mark.parametrize("guess, spread", [(ROOT + 3e-7, 1e-6), (ROOT - 4e-9, 1e-8)])
+    def test_root_inside_the_prediction_takes_five_calls(self, name, guess, spread):
+        # f(good), the two probes, and two secant steps inside the narrow
+        # bracket; the full bracket needs more.
+        fn = SMOOTH[name]
+        full, full_calls = counted(fn)
+        bisect(full, 0.0, 1.0)
+        f, calls = counted(fn)
+        x = bisect(f, 0.0, 1.0, guess, spread)
+        assert calls[0] == 5 < full_calls[0]
+        assert abs(x - ROOT) <= TOL and fn(x) >= 0.0
+
+    @pytest.mark.parametrize("guess", [0.5, -1.0, 2.0, math.nan])
+    def test_no_root_when_the_good_end_fails(self, guess):
+        f, calls = counted(lambda x: -1.0)
+        assert bisect(f, 0.0, 1.0, guess, 0.1) is None
+        assert calls[0] == 1
+
+    @pytest.mark.parametrize("guess", [0.5, 0.0, 3.0, -1.0, math.nan])
+    def test_bad_end_that_meets_the_predicate_is_the_root(self, guess):
+        assert bisect(lambda x: 1.0, 3.0, 0.0, guess, 0.5) == 0.0
+        assert bisect(lambda x: 1.0, 0.0, 3.0, guess, 1e-9) == 3.0

@@ -88,6 +88,23 @@ class TestFloatTables:
             '  "rows": [\n    [F, F],\n    [F, F]\n  ]\n}\n')
         assert to_json([0.25, 1.0]) == "[F, F]\n"
 
+    @pytest.mark.parametrize("rows", [
+        [[1.0, 2.0], [3.0]],
+        ((0.5,), [np.float64(1.5), 2.5]),
+        [[1.0], []],
+        [[1, 2.0], [3.0]],
+        [[True, 1.0]],
+        [[[1.0]], [2.0]],
+        [{"x": 1.0}, [1.0]],
+        [[1.0], None],
+    ])
+    def test_table_bytes_equal_row_by_row_emission(self, monkeypatch, rows):
+        # A list of non-empty float rows is emitted as one table; the bytes
+        # are those of emitting each row on its own.
+        table = to_json({"rows": rows})
+        monkeypatch.setattr(serialize, "_float_rows", lambda rows: False)
+        assert to_json({"rows": rows}) == table
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_still_rejected(self, bad):
         with pytest.raises(ValueError):
