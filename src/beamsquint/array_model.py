@@ -184,7 +184,8 @@ def _gain_ratio(xs: np.ndarray, n: int, out: np.ndarray | None = None) -> np.nda
     np.sin(denom, out=denom)
     mag = np.abs(denom, out=np.empty(xs.shape))
     singular = None
-    if mag.size and mag.min() < _SINGULARITY_EPS:
+    # fmin skips NaN, so a NaN or infinite entry cannot hide a singular one.
+    if mag.size and np.fmin.reduce(mag, axis=None) < _SINGULARITY_EPS:
         # L'Hopital at x = 2k: the ratio tends to sqrt(N) * (-1)^(k*(N-1)).
         # The flat indices of the singular points are the only new array.
         singular = np.flatnonzero(np.less(mag, _SINGULARITY_EPS, out=mag))

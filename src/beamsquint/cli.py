@@ -276,11 +276,8 @@ _SUBCOMMANDS = {
 }
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process and shared: parsing
-    keeps no state in it, and help and error text are formatted at call
-    time."""
+    """A new command-line parser, the caller's own to change."""
     parser = argparse.ArgumentParser(
         prog="beamsquint",
         description="Beam squint analysis and capacity-constrained codebook design "
@@ -300,8 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built once per process: parsing keeps no state in it, and
+# help and error text are formatted at call time.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message

@@ -136,17 +136,16 @@ class BsupFit:
 
 
 def solve_right_edge(psi_f: float, c_t: float, band: BandConfig,
-                     arr: ArrayConfig, *, half: float | None = None,
-                     guess: float | None = None, spread: float = 0.0) -> float:
+                     arr: ArrayConfig, *, guess: float | None = None,
+                     spread: float = 0.0) -> float:
     """Right coverage edge of a beam focused on ``psi_f``.
 
     The squinted capacity decreases from its value at the focus through
     c_t somewhere inside half a no-squint beamwidth; the returned edge is
     the solver's end of that crossing where the capacity still meets c_t.
     With zero fractional bandwidth the edge sits exactly on the no-squint
-    bracket boundary.  ``half``, that half-width when the caller already
-    has it, and a predicted edge ``guess`` with its ``spread`` are passed
-    on to :func:`~beamsquint.roots.bisect`; the edge meets the same
+    bracket boundary.  A predicted edge ``guess`` and its ``spread`` are
+    passed on to :func:`~beamsquint.roots.bisect`; the edge meets the same
     conditions with or without them.
 
     Raises
@@ -155,8 +154,7 @@ def solve_right_edge(psi_f: float, c_t: float, band: BandConfig,
         If the capacity at the focus itself is already below ``c_t`` (the
         local signal that the fractional bandwidth is too large).
     """
-    if half is None:
-        half = beamwidth_nbs(c_t, band, arr) / 2.0
+    half = beamwidth_nbs(c_t, band, arr) / 2.0
     edge = bisect(lambda psi: capacity_bs(psi_f, psi, band, arr) - c_t,
                   psi_f, psi_f + half, guess, spread)
     if edge is None:
@@ -182,15 +180,15 @@ def solve_left_edge(psi_f: float, c_t: float, band: BandConfig,
 
 
 def solve_focus_from_left(psi_l: float, c_t: float, band: BandConfig,
-                          arr: ArrayConfig, *, half: float | None = None,
-                          guess: float | None = None, spread: float = 0.0) -> float:
+                          arr: ArrayConfig, *, guess: float | None = None,
+                          spread: float = 0.0) -> float:
     """Focus angle whose coverage starts exactly at ``psi_l``.
 
     As the focus moves right of ``psi_l`` the capacity delivered at
     ``psi_l`` falls; the focus is the point where it hits c_t, bracketed
     within half a no-squint beamwidth of ``psi_l``, taken on the side where
-    the capacity at ``psi_l`` still meets c_t.  ``half``, ``guess`` and
-    ``spread`` are as in :func:`solve_right_edge`.
+    the capacity at ``psi_l`` still meets c_t.  ``guess`` and ``spread``
+    are as in :func:`solve_right_edge`.
 
     Raises
     ------
@@ -198,8 +196,7 @@ def solve_focus_from_left(psi_l: float, c_t: float, band: BandConfig,
         If even a beam focused on ``psi_l`` itself cannot reach ``c_t``
         there (no bracketed root exists).
     """
-    if half is None:
-        half = beamwidth_nbs(c_t, band, arr) / 2.0
+    half = beamwidth_nbs(c_t, band, arr) / 2.0
     focus = bisect(lambda pf: capacity_bs(pf, psi_l, band, arr) - c_t,
                    psi_l, psi_l + half, guess, spread)
     if focus is None:
@@ -249,18 +246,17 @@ def _grow_chain(start_right: float, psi_m: float, c_t: float, band: BandConfig,
     linearly from two, with a spread of ``_SPREAD_GAIN`` times the previous
     prediction's error.  The first beam's solves use the full bracket.
     """
-    half = beamwidth_nbs(c_t, band, arr) / 2.0
     to_focus, to_edge = _Offsets(), _Offsets()
     out: list[tuple[float, float, float]] = []
     right = start_right
     while right < psi_m:
         left = right
         guess, spread = to_focus.predict(left)
-        focus = solve_focus_from_left(left, c_t, band, arr, half=half,
-                                      guess=guess, spread=spread)
+        focus = solve_focus_from_left(left, c_t, band, arr, guess=guess,
+                                      spread=spread)
         guess, spread = to_edge.predict(focus)
-        edge = solve_right_edge(focus, c_t, band, arr, half=half,
-                                guess=guess, spread=spread)
+        edge = solve_right_edge(focus, c_t, band, arr, guess=guess,
+                                spread=spread)
         if edge - left < _MIN_BEAM_WIDTH:
             raise InfeasibleError(
                 f"beam coverage collapsed below solver resolution at focus {focus}",

@@ -42,6 +42,10 @@ def _float_rows(rows) -> bool:
             and _all_floats(itertools.chain.from_iterable(rows)))
 
 
+def _float_list(values) -> str:
+    return "[" + ", ".join(map(format_float, values)) + "]"
+
+
 def _emit(obj: Any, level: int) -> str:
     pad = _INDENT * (level + 1)
     close_pad = _INDENT * level
@@ -55,11 +59,11 @@ def _emit(obj: Any, level: int) -> str:
         if not obj:
             return "[]"
         if _all_floats(obj):
-            return "[" + ", ".join(map(format_float, obj)) + "]"
+            return _float_list(obj)
         if all(_is_scalar(v) for v in obj):
             return "[" + ", ".join(_emit(v, level + 1) for v in obj) + "]"
-        if _float_rows(obj):  # a table: each row is a float list, as above
-            parts = [pad + "[" + ", ".join(map(format_float, row)) + "]" for row in obj]
+        if _float_rows(obj):  # a table of float lists
+            parts = [pad + _float_list(row) for row in obj]
         else:
             parts = [f"{pad}{_emit(v, level + 1)}" for v in obj]
         return "[\n" + ",\n".join(parts) + "\n" + close_pad + "]"

@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 
@@ -114,6 +115,22 @@ class TestGain:
         xs = np.random.default_rng(13).uniform(-4, 4, size=2000)
         assert np.all(gain_mag(xs, arr) <= arr.peak_gain * (1 + 1e-12))
         assert gain_mag(2.0, arr) == arr.peak_gain  # even integers hit the peak
+
+    @pytest.mark.parametrize("xs", [[0.0, np.nan], [0.0, np.inf], [2.0, np.nan],
+                                    [np.nan, -4.0, 1.0, -np.inf]])
+    def test_non_finite_entries_leave_singular_points_alone(self, xs):
+        # A NaN or infinite offset gives NaN and changes no other entry: the
+        # singular points next to it keep their limit +-sqrt(N).
+        arr = ArrayConfig(8)
+        with np.errstate(invalid="ignore"):
+            mags, gains = gain_mag(np.array(xs), arr), gain(np.array(xs), arr)
+        for x, m, g in zip(xs, mags, gains):
+            if not math.isfinite(x):
+                assert math.isnan(m) and cmath.isnan(g)
+                continue
+            assert m == gain_mag(x, arr) and g == gain(x, arr)
+            if x % 2.0 == 0.0:
+                assert m == math.sqrt(8)
 
     def test_positive_inside_main_lobe(self):
         arr = ArrayConfig(16)

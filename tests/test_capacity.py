@@ -297,6 +297,21 @@ class TestRateSumKernel:
         assert [capacity_bs(f, p, band, arr) for f, p in zip(foci, psis)] == expected
         assert capacity_bs(np.array(foci), np.array(psis), band, arr).tolist() == expected
 
+    def test_non_finite_rows_leave_singular_rows_alone(self):
+        # One block holds NaN and infinite angles next to rows with exact
+        # singular points; those rows still equal the plain expression.
+        arr = ArrayConfig(8)
+        band = BandConfig(b=0.05, n_f=8, snr=2.0)
+        foci = [0.0, np.nan, 0.0, float(band.ratios[1] * 0.7), 0.2, 0.0]
+        psis = [0.0, 0.0, np.inf, 0.7, 0.5, -np.inf]
+        with np.errstate(invalid="ignore"):
+            caps = capacity_bs(np.array(foci), np.array(psis), band, arr).tolist()
+        for f, p, c in zip(foci, psis, caps):
+            if math.isfinite(f) and math.isfinite(p):
+                assert c == ref_capacity_bs(f, p, band, arr) == capacity_bs(f, p, band, arr)
+            else:
+                assert math.isnan(c)
+
 
 class TestCapacitySlopeBound:
     @pytest.mark.parametrize("n", [2, 3, 16, 64, 128])

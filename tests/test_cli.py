@@ -388,12 +388,13 @@ class TestDeterminismAndOutput:
         ]
 
         def fresh(argv):
-            cli.build_parser.cache_clear()
+            cli._parser.cache_clear()
             return run_cli(argv, capsys)
 
         expected = [fresh(argv) for argv in argvs]
         assert {code for code, _, _ in expected} == {0, 2}
-        assert cli.build_parser() is cli.build_parser()
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
         for _ in range(2):
             assert [run_cli(argv, capsys) for argv in argvs] == expected
         assert [run_cli(argv, capsys) for argv in reversed(argvs)] == expected[::-1]
