@@ -6,8 +6,8 @@ carrier frequency; a subcarrier at frequency ratio xi sees the pattern
 evaluated at xi*psi - psi_F instead of psi - psi_F, which is the beam-squint
 effect every other module builds on.
 
-All functions are pure and deterministic; the config objects are immutable,
-so everything here is safe for concurrent use.
+All functions are pure and deterministic and the config object is
+immutable, so everything here is safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -57,76 +57,27 @@ class ArrayConfig:
         return 4.0 / (self.n_antennas * math.pi)
 
 
-@dataclass(frozen=True)
-class SubcarrierGrid:
-    """Per-subcarrier frequency ratios of an OFDM band.
-
-    ``ratios[n]`` is subcarrier n's frequency divided by the carrier
-    frequency; the grid is symmetric about 1 and spans the fractional
-    bandwidth ``b``.
-    """
-
-    ratios: np.ndarray
-    b: float
-
-    @property
-    def n_f(self) -> int:
-        return len(self.ratios)
-
-
-@dataclass(frozen=True)
-class PhaseVector:
-    """Phase-shifter settings steering the carrier to ``focus``."""
-
-    phases: np.ndarray
-    focus: float
-
-
-def virtual_angle(theta: float) -> float:
-    """Map a physical angle (radians from broadside) to sin(theta).
-
-    Raises
-    ------
-    DomainError
-        If ``theta`` is outside [-pi/2, pi/2].
-    """
-    if not -math.pi / 2 <= theta <= math.pi / 2:
-        raise DomainError(f"theta must be in [-pi/2, pi/2], got {theta}")
-    return math.sin(theta)
-
-
-def phase_vector(psi_f: float, cfg: ArrayConfig) -> PhaseVector:
+def steering_phases(psi_f: float, cfg: ArrayConfig) -> np.ndarray:
     """Phase-shifter settings that focus the carrier on virtual angle psi_f.
 
     Element n (1-based) gets phase pi*(n-1)*psi_f at half-wavelength
-    spacing, so the first element is always 0.
-
-    Raises
-    ------
-    DomainError
-        If ``psi_f`` is outside [-1, 1].
-    """
-    if not -1.0 <= psi_f <= 1.0:
-        raise DomainError(f"psi_f must be in [-1, 1], got {psi_f}")
-    return PhaseVector(phases=steering_phases(psi_f, cfg), focus=psi_f)
-
-
-def steering_phases(psi_f: float, cfg: ArrayConfig) -> np.ndarray:
-    """Raw phase array for ``phase_vector`` without the range check.
-
-    Codebook synthesis can push the last beam's focus marginally past the
-    visible region; the phase formula remains well defined there.
+    spacing, so the first element is always 0.  The array is read-only.
+    ``psi_f`` is not range-checked: codebook synthesis can push the last
+    beam's focus marginally past the visible region, and the phase formula
+    remains well defined there.
     """
     phases = (math.pi * psi_f) * np.arange(cfg.n_antennas)
     phases.flags.writeable = False
     return phases
 
 
-def subcarrier_grid(b: float, n_f: int) -> SubcarrierGrid:
-    """Frequency-ratio grid of ``n_f`` subcarriers at fractional bandwidth b.
+def subcarrier_grid(b: float, n_f: int) -> np.ndarray:
+    """Frequency ratios of ``n_f`` subcarriers at fractional bandwidth b.
 
-    ``n_f`` must be even so subcarriers pair symmetrically about the
-    carrier, which the capacity bounds rely on.
+    Entry n is subcarrier n's frequency divided by the carrier frequency;
+    the read-only grid is symmetric about 1 and spans ``b``.  ``n_f`` must
+    be even so subcarriers pair symmetrically about the carrier, which the
+    capacity bounds rely on.
 
     Raises
     ------
@@ -141,27 +92,16 @@ def subcarrier_grid(b: float, n_f: int) -> SubcarrierGrid:
     n = np.arange(n_f)
     ratios = 1.0 + (2 * n - n_f + 1) * b / (2 * n_f)
     ratios.flags.writeable = False
-    return SubcarrierGrid(ratios=ratios, b=b)
-
-
-def gain(x: ArrayLike, cfg: ArrayConfig) -> complex | np.ndarray:
-    """Complex array gain at pattern offset ``x`` (virtual-angle units).
-
-    The magnitude is sin(N*pi*x/2) / (sqrt(N)*sin(pi*x/2)) and the phase
-    factor is exp(j*(N-1)*pi*x/2).  At even-integer ``x`` both sines vanish
-    and the analytic limit +-sqrt(N) is used, so the function is total.
-    """
-    n = cfg.n_antennas
-    xs = np.asarray(x, dtype=float)
-    ratio = _gain_ratio(xs, n)
-    out = ratio * np.exp(1j * (0.5 * (n - 1) * math.pi) * xs)
-    if np.isscalar(x) or xs.ndim == 0:
-        return complex(out)
-    return out
+    return ratios
 
 
 def gain_mag(x: ArrayLike, cfg: ArrayConfig) -> float | np.ndarray:
-    """Magnitude of :func:`gain`; exactly sqrt(N) at zero offset."""
+    """Array gain magnitude at pattern offset ``x`` (virtual-angle units).
+
+    The magnitude is |sin(N*pi*x/2)| / (sqrt(N)*|sin(pi*x/2)|).  At
+    even-integer ``x`` both sines vanish and the analytic limit sqrt(N) is
+    used, so the function is total; it is exactly sqrt(N) at zero offset.
+    """
     n = cfg.n_antennas
     xs = np.asarray(x, dtype=float)
     out = np.abs(_gain_ratio(xs, n))

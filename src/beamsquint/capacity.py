@@ -15,15 +15,13 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Union
 
 import numpy as np
 
-from .array_model import ArrayConfig, _gain_ratio, gain_mag, subcarrier_grid
+from .array_model import (ArrayConfig, ArrayLike, _gain_ratio, gain_mag,
+                          subcarrier_grid)
 from .errors import ConfigError, DomainError, InfeasibleError
 from .roots import bisect
-
-ArrayLike = Union[float, np.ndarray]
 
 # Gain-region thresholds below this would admit sidelobes (their peak sits
 # near 0.217*sqrt(N)); only the main lobe is modelled.
@@ -32,7 +30,11 @@ MIN_REGION_R = 0.25
 # Gain ratio of the 3 dB capacity threshold, the default everywhere.
 R_3DB = math.sqrt(2.0) / 2.0
 
-_REL_TOL_B = 1e-12
+# Relative rounding allowed in a value recovered through a round trip: b
+# from bandwidth_hz/carrier_hz, and the gain ratio that beamwidth_nbs
+# recovers from its capacity threshold, which can land a few ulps below
+# the ratio the threshold was computed from.
+_REL_TOL = 1e-12
 
 # Angles x subcarriers per block in the vector path of capacity_bs: 2**16
 # floats (512 KiB, 32 angles at 2048 subcarriers), so that the few
@@ -61,14 +63,14 @@ class BandConfig:
     def __post_init__(self):
         _require_finite_positive("snr", self.snr)
         # subcarrier_grid also checks b and n_f.
-        object.__setattr__(self, "ratios", subcarrier_grid(self.b, self.n_f).ratios)
+        object.__setattr__(self, "ratios", subcarrier_grid(self.b, self.n_f))
         if self.bandwidth_hz is not None:
             _require_finite_positive("bandwidth_hz", self.bandwidth_hz)
         if self.carrier_hz is not None:
             _require_finite_positive("carrier_hz", self.carrier_hz)
         if self.bandwidth_hz is not None and self.carrier_hz is not None:
             implied = self.bandwidth_hz / self.carrier_hz
-            if abs(implied - self.b) > _REL_TOL_B * max(abs(self.b), implied):
+            if abs(implied - self.b) > _REL_TOL * max(abs(self.b), implied):
                 raise ConfigError(
                     f"b={self.b} inconsistent with bandwidth_hz/carrier_hz={implied}")
 
@@ -254,17 +256,23 @@ def _gain_halfwidth(r: float, n: int) -> float:
     return bisect(lambda w: gain_mag(w, cfg) - target, 0.0, cfg.main_lobe_half_span)
 
 
+def _below_main_lobe(r: float) -> bool:
+    """True if gain ratio ``r`` is below MIN_REGION_R beyond rounding, so
+    that sidelobes would qualify for its gain region."""
+    return r < MIN_REGION_R * (1.0 - _REL_TOL)
+
+
 def gain_region(psi_f: float, r: float, arr: ArrayConfig) -> GainRegion:
     """Main-lobe interval around ``psi_f`` with carrier gain >= r*sqrt(N).
 
-    The half-width solves gain(w) = r*sqrt(N) with the bracketed secant
+    The half-width solves gain_mag(w) = r*sqrt(N) with the bracketed secant
     solver of :mod:`beamsquint.roots` within the main lobe; the interval is
     then clipped to the visible region.  ``r`` below 0.25 is rejected:
     sidelobes would start to qualify and are out of scope for this model.
     """
     if not 0.0 < r < 1.0:
         raise DomainError(f"r must be in (0, 1), got {r}")
-    if r < MIN_REGION_R:
+    if _below_main_lobe(r):
         raise ConfigError(
             f"r={r} is below {MIN_REGION_R}; sidelobes would qualify and only the "
             "main lobe is modelled")
@@ -292,7 +300,7 @@ def beamwidth_nbs(c_t: float, band: BandConfig, arr: ArrayConfig) -> float:
     if not c_t > 0.0:
         raise DomainError(f"c_t must be positive, got {c_t}")
     r = math.sqrt((2.0 ** (c_t / band.bandwidth) - 1.0) / (n * band.snr))
-    if r < MIN_REGION_R:
+    if _below_main_lobe(r):
         raise ConfigError(
             f"threshold {c_t} maps to gain ratio {r:.4f} below {MIN_REGION_R}; "
             "only main-lobe beamwidths are modelled")

@@ -30,10 +30,6 @@ def _snr_linear(snr_db: float) -> float:
         raise ConfigError(f"--snr-db {snr_db} overflows a float") from None
 
 
-def _gain_ratio(args: argparse.Namespace) -> float:
-    return R_3DB if args.r is None else args.r
-
-
 def _array_from_flag(n_antennas: int, flag: str = "--antennas") -> ArrayConfig:
     try:
         return ArrayConfig(n_antennas)
@@ -109,7 +105,7 @@ def _cmd_capacity(args) -> SweepResult:
 
 def _cmd_design(args) -> str:
     arr, band = _array_from_flag(args.antennas), _band_from_args(args)
-    r = None if args.ct is not None else _gain_ratio(args)
+    r = None if args.ct is not None else args.r
     c_t = args.ct if r is None else capacity_threshold(r, band, arr)
     cb = design_codebook(args.psi_m, c_t, band, arr)
     if args.format == "json":
@@ -118,7 +114,7 @@ def _cmd_design(args) -> str:
 
 
 def _cmd_improvement(args) -> SweepResult:
-    arr, band, r = _array_from_flag(args.antennas), _band_from_args(args), _gain_ratio(args)
+    arr, band, r = _array_from_flag(args.antennas), _band_from_args(args), args.r
     params = {"command": "improvement", "n_antennas": arr.n_antennas,
               "b": band.b, "n_f": band.n_f, "snr": band.snr, "r": r}
     if args.psi_f is None:
@@ -130,7 +126,7 @@ def _cmd_improvement(args) -> SweepResult:
 
 
 def _cmd_bsup(args) -> SweepResult:
-    r, snr = _gain_ratio(args), _snr_linear(args.snr_db)
+    r, snr = args.r, _snr_linear(args.snr_db)
     params = {"command": "bsup", "r": r, "snr": snr, "psi_m": args.psi_m,
               "tol_b": args.tol_b, "n_f": args.subcarriers}
     if args.n_list is not None:
@@ -169,17 +165,17 @@ _SWEEP_PARAMS = {
         "carrier_hz": a.carrier_hz},
     "improvement-vs-focus": lambda a: {
         "n_antennas": _array_sizes(a),
-        "b": _require(a.frac_bandwidth, "--frac-bandwidth"), "r": _gain_ratio(a),
+        "b": _require(a.frac_bandwidth, "--frac-bandwidth"), "r": a.r,
         "snr": _snr_linear(a.snr_db), "n_f": a.subcarriers,
         "psi_f_step": a.psi_f_step},
     "improvement-max-vs-b": lambda a: {
         "n_antennas": _array_sizes(a),
         "b_values": None if a.b_list is None else _parse_list(a.b_list, "--b-list", float),
-        "r": _gain_ratio(a), "snr": _snr_linear(a.snr_db), "n_f": a.subcarriers},
+        "r": a.r, "snr": _snr_linear(a.snr_db), "n_f": a.subcarriers},
     "codebook-size-vs-n": lambda a: {
         "n_values": _parse_list(_require(a.n_list, "--n-list"), "--n-list", int),
         "b_values": _parse_list(_require(a.b_list, "--b-list"), "--b-list", float),
-        "r": _gain_ratio(a), "snr": _snr_linear(a.snr_db), "psi_m": a.psi_m,
+        "r": a.r, "snr": _snr_linear(a.snr_db), "psi_m": a.psi_m,
         "n_f": a.subcarriers},
     "verify-facts": lambda a: {
         "fact1_samples": a.fact1_samples, "fact2_samples": a.fact2_samples,
@@ -214,7 +210,8 @@ _FLAGS: dict[str, dict] = {
     "--subcarriers": dict(type=int, default=2048,
                           help="OFDM subcarrier count (even, default %(default)s)"),
     "--snr-db": dict(type=float, default=0.0, help="P/(B*sigma^2) in dB"),
-    "--r": dict(type=float, help="gain-ratio threshold in (0,1); default sqrt(2)/2"),
+    "--r": dict(type=float, default=R_3DB,
+                help="gain-ratio threshold in (0,1); default sqrt(2)/2"),
     "--ct": dict(type=float,
                  help="explicit capacity threshold (same units as capacities)"),
     "--psi-f": dict(type=float, help="beam focus angle"),
@@ -311,8 +308,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         result = args.run(args)
     except InfeasibleError as exc:
-        focus = exc.failing_focus
-        where = f" (failing focus angle: {focus!r})" if focus is not None else ""
+        # Only design_codebook's error gets here: both sizes' foci or neither.
+        odd, even = exc.failing_focus, exc.even_focus
+        where = (f" (failing focus angles: odd size {odd!r}, even size {even!r})"
+                 if odd is not None else "")
         print(f"no codebook exists{where}", file=sys.stderr)
         return 3
     except (ConfigError, DomainError) as exc:

@@ -163,22 +163,6 @@ def solve_right_edge(psi_f: float, c_t: float, band: BandConfig,
     return edge
 
 
-def solve_left_edge(psi_f: float, c_t: float, band: BandConfig,
-                    arr: ArrayConfig) -> float:
-    """Left coverage edge of a beam focused on ``psi_f``.
-
-    The capacity is exactly symmetric under (psi_f, psi) -> (-psi_f, -psi),
-    so this is the mirrored right edge of the beam focused on -psi_f.
-    """
-    try:
-        return 0.0 - solve_right_edge(0.0 - psi_f, c_t, band, arr)
-    except InfeasibleError as exc:
-        if exc.failing_focus is None:
-            raise
-        raise InfeasibleError(
-            f"capacity at focus {psi_f} is below the threshold", psi_f) from None
-
-
 def solve_focus_from_left(psi_l: float, c_t: float, band: BandConfig,
                           arr: ArrayConfig, *, guess: float | None = None,
                           spread: float = 0.0) -> float:
@@ -301,12 +285,15 @@ def design_codebook(psi_m: float, c_t: float, band: BandConfig,
     InfeasibleError
         When either edge or focus solving breaks down in both
         constructions: no codebook exists at this fractional bandwidth.
+        Its message names both constructions' failures; ``failing_focus``
+        is the odd one's and ``even_focus`` the even one's.
     """
     odd, even = _parities(psi_m, c_t, band, arr)
     books = [o for o in (odd, even) if isinstance(o, Codebook)]
     if not books:
         raise InfeasibleError(
-            f"no codebook exists: {odd}", odd.failing_focus) from even
+            f"no codebook exists: odd size: {odd}; even size: {even}",
+            odd.failing_focus, even.failing_focus) from even
     return min(books, key=lambda cb: cb.size)
 
 
@@ -517,27 +504,26 @@ def estimate_bsup(arr: ArrayConfig, r: float, snr: float, psi_m: float = 1.0,
 
 
 def fit_bsup_constant(n_values: Sequence[int], r: float, snr: float,
-                      psi_m: float = 1.0, tol_b: float = 1e-6, n_f: int = 2048,
-                      bsup_values: Sequence[float] | None = None) -> BsupFit:
+                      psi_m: float = 1.0, tol_b: float = 1e-6,
+                      n_f: int = 2048) -> BsupFit:
     """Fit the inverse law bandwidth-limit ~ a/N across array sizes.
 
     Least squares on bsup(N)*N reduces to its mean; the per-N absolute
-    deviations from ``a`` quantify how well the inverse law holds.  Pass
-    ``bsup_values`` to fit precomputed estimates instead of re-running the
-    feasibility bisections.
+    deviations from ``a`` quantify how well the inverse law holds.
     """
     ns = list(n_values)
     if len(set(ns)) < 3:
         raise ConfigError(f"need at least 3 distinct array sizes, got {ns}")
-    if bsup_values is None:
-        bsup = [estimate_bsup(ArrayConfig(n), r, snr, psi_m, tol_b, n_f) for n in ns]
-    else:
-        bsup = list(bsup_values)
-        if len(bsup) != len(ns):
-            raise ConfigError("bsup_values length must match n_values")
-    products = np.array([n * v for n, v in zip(ns, bsup)])
-    a = float(np.mean(products))
-    dev = np.abs(products - a)
+    bsup = [estimate_bsup(ArrayConfig(n), r, snr, psi_m, tol_b, n_f) for n in ns]
+    a, dev = _inverse_law(ns, bsup)
     return BsupFit(a=a, mean_deviation=float(np.mean(dev)),
                    max_deviation=float(np.max(dev)),
                    bsup_by_n={n: v for n, v in zip(ns, bsup)})
+
+
+def _inverse_law(ns: Sequence[int], bsup: Sequence[float]) -> tuple[float, np.ndarray]:
+    """The constant a of bsup ~ a/N, the mean of bsup(N)*N, and each
+    size's absolute deviation |bsup(N)*N - a|; ``ns`` must not be empty."""
+    products = np.array([n * v for n, v in zip(ns, bsup)])
+    a = float(np.mean(products))
+    return a, np.abs(products - a)

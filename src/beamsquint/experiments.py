@@ -21,8 +21,8 @@ from .array_model import ArrayConfig, gain_mag
 from .capacity import (R_3DB, BandConfig, _require_visible, capacity_bs,
                        capacity_nbs, capacity_threshold, spectral_efficiency_bs,
                        squint_safe_range)
-from .codebook import (_focus_grid, assess_feasibility, estimate_bsup,
-                       improvement_max, improvement_ratio)
+from .codebook import (_focus_grid, _inverse_law, assess_feasibility,
+                       estimate_bsup, improvement_max, improvement_ratio)
 from .errors import ConfigError
 
 INFEASIBLE_MARKER = -1.0
@@ -238,25 +238,32 @@ def verify_facts(fact1_samples: int = 2000, fact2_samples: int = 2000,
     rng = np.random.default_rng(seed)
     witnesses: dict[str, list] = {"fact1": [], "fact2": []}
 
-    def draw_point(b_cap: float) -> tuple[ArrayConfig, float, float, float] | None:
+    def draw_point(b_lo: float, pair: bool
+                   ) -> tuple[ArrayConfig, tuple[float, ...], float, float] | None:
+        """Array, fractional bandwidths, focus and an arrival angle in the
+        widest bandwidth's squint-safe range, drawn in that order; None,
+        with no angle drawn, when that range misses [-1, 1].  The widest
+        bandwidth b comes from [b_lo, b_max); with ``pair`` a narrower one
+        from [0, b) precedes it."""
         n = int(rng.integers(n_range[0], n_range[1] + 1))
-        b = float(rng.uniform(0.0, b_cap)) if b_cap > 0 else 0.0
+        b = float(rng.uniform(b_lo, b_max))
+        bs = (float(rng.uniform(0.0, b)), b) if pair else (b,)
         psi_f = float(rng.uniform(-1.0, 1.0))
         arr = ArrayConfig(n)
         lo, hi = squint_safe_range(psi_f, b, arr)
         lo, hi = max(lo, -1.0), min(hi, 1.0)
         if lo >= hi:
             return None
-        return arr, b, psi_f, float(rng.uniform(lo, hi))
+        return arr, bs, psi_f, float(rng.uniform(lo, hi))
 
     v1 = 0
     worst1 = -math.inf
     done = 0
     while done < fact1_samples:
-        point = draw_point(b_max)
+        point = draw_point(0.0, pair=False)
         if point is None:
             continue
-        arr, b, psi_f, psi = point
+        arr, (b,), psi_f, psi = point
         band = BandConfig(b=b, n_f=n_f, snr=snr)
         cbs = capacity_bs(psi_f, psi, band, arr)
         cnbs = capacity_nbs(psi_f, psi, band, arr)
@@ -271,16 +278,10 @@ def verify_facts(fact1_samples: int = 2000, fact2_samples: int = 2000,
     worst2 = -math.inf
     done = 0
     while done < fact2_samples:
-        n = int(rng.integers(n_range[0], n_range[1] + 1))
-        b2 = float(rng.uniform(1e-6, b_max))
-        b1 = float(rng.uniform(0.0, b2))
-        psi_f = float(rng.uniform(-1.0, 1.0))
-        arr = ArrayConfig(n)
-        lo, hi = squint_safe_range(psi_f, b2, arr)
-        lo, hi = max(lo, -1.0), min(hi, 1.0)
-        if lo >= hi:
+        point = draw_point(1e-6, pair=True)
+        if point is None:
             continue
-        psi = float(rng.uniform(lo, hi))
+        arr, (b1, b2), psi_f, psi = point
         e1 = spectral_efficiency_bs(psi_f, psi, BandConfig(b=b1, n_f=n_f, snr=snr), arr)
         e2 = spectral_efficiency_bs(psi_f, psi, BandConfig(b=b2, n_f=n_f, snr=snr), arr)
         margin = e2 - e1 - 1e-12
@@ -290,20 +291,16 @@ def verify_facts(fact1_samples: int = 2000, fact2_samples: int = 2000,
             witnesses["fact2"].append([arr.n_antennas, b1, b2, psi_f, psi, e1, e2])
         done += 1
 
+    # The ledger takes any number of sizes, where the fit needs three.
     ns = [int(n) for n in fact3_n_values]
+    bsup = [estimate_bsup(ArrayConfig(n), fact3_r, snr, fact3_psi_m, fact3_tol_b)
+            for n in ns]
+    a, v3, worst3 = 0.0, 0, 0.0
     if ns:
-        bsup = [estimate_bsup(ArrayConfig(n), fact3_r, snr, fact3_psi_m, fact3_tol_b)
-                for n in ns]
-        products = np.array([n * v for n, v in zip(ns, bsup)])
-        a = float(np.mean(products))
-        rel_dev = np.abs(products - a) / a
+        a, dev = _inverse_law(ns, bsup)
+        rel_dev = dev / a
         v3 = int(np.sum(rel_dev > fact3_rel_tol))
         worst3 = float(np.max(rel_dev))
-    else:
-        bsup = []
-        a = 0.0
-        v3 = 0
-        worst3 = 0.0
 
     rows = ((1.0, float(fact1_samples), float(v1),
              float(worst1) if math.isfinite(worst1) else 0.0),

@@ -16,7 +16,8 @@ from beamsquint import (ArrayConfig, BandConfig, ConfigError, DomainError,
                         capacity_threshold, capacity_threshold_3db, gain_region,
                         spectral_efficiency_bs, squint_safe_range)
 from beamsquint import capacity
-from beamsquint.capacity import _capacity_rows, _usable_cores, capacity_slope_bound
+from beamsquint.capacity import (MIN_REGION_R, _capacity_rows, _usable_cores,
+                                 capacity_slope_bound)
 
 from oracles import ref_capacity_bs, ref_halfwidth
 
@@ -442,6 +443,27 @@ class TestBeamwidthNbs:
             region = gain_region(0.0, r, arr64)
             assert beamwidth_nbs(c_t, band, arr64) == pytest.approx(
                 region.width, rel=1e-9)
+
+    @pytest.mark.parametrize("n,snr", [(64, 1.0), (128, 0.5), (128, 10.0), (16, 1.0)])
+    def test_minimum_ratio_survives_the_threshold_round_trip(self, n, snr):
+        # The ratio recovered from the r = 0.25 threshold rounds an ulp
+        # below 0.25 at these points; it is still the documented minimum.
+        arr = ArrayConfig(n)
+        band = BandConfig(b=0.01, n_f=64, snr=snr)
+        c_t = capacity_threshold(MIN_REGION_R, band, arr)
+        assert beamwidth_nbs(c_t, band, arr) == pytest.approx(
+            gain_region(0.0, MIN_REGION_R, arr).width, rel=1e-9)
+
+    def test_one_minimum_ratio_rule_for_regions_and_beamwidths(self, arr64):
+        band = BandConfig(b=0.01, n_f=64, snr=1.0)
+        for r in (0.2499, MIN_REGION_R * (1 - 1e-9)):
+            with pytest.raises(ConfigError):
+                gain_region(0.0, r, arr64)
+            with pytest.raises(ConfigError):
+                beamwidth_nbs(capacity_threshold(r, band, arr64), band, arr64)
+        r = MIN_REGION_R * (1 - 1e-13)  # rounding, not a smaller ratio
+        assert gain_region(0.0, r, arr64).width > 0
+        assert beamwidth_nbs(capacity_threshold(r, band, arr64), band, arr64) > 0
 
     def test_shrinks_to_zero_at_peak(self, arr64):
         band = BandConfig(b=0.03, n_f=128, snr=1.0)

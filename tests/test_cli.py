@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamsquint import cli, rerun, serialize
+from beamsquint import (ArrayConfig, BandConfig, InfeasibleError, assess_feasibility,
+                        capacity_threshold, cli, design_codebook, rerun, serialize)
+from beamsquint.capacity import R_3DB
 
 ABSTRACT_DESIGN = [
     "design", "--antennas", "64", "--bandwidth-hz", "2.5e9", "--carrier-hz",
@@ -105,9 +107,44 @@ class TestDesignCommand:
         assert out == ""
         assert "no codebook exists" in err
         assert "failing focus angle" in err
+        # Both sizes' failing foci are named, the odd one first.
+        code, out, err = run_cli(
+            ["design", "--antennas", "128", "--bandwidth-hz", "2.5e9",
+             "--carrier-hz", "73e9", "--snr-db", "0"], capsys)
+        assert (code, out) == (3, "")
+        band = BandConfig.from_hz(2.5e9, 73e9, n_f=2048, snr=1.0)
+        arr = ArrayConfig(128)
+        report = assess_feasibility(1.0, capacity_threshold(R_3DB, band, arr), band, arr)
+        assert report.failing_focus == pytest.approx(0.67866771, abs=1e-6)
+        with pytest.raises(InfeasibleError) as exc:
+            design_codebook(1.0, capacity_threshold(R_3DB, band, arr), band, arr)
+        odd, even = exc.value.failing_focus, exc.value.even_focus
+        assert (odd, even) == (report.failing_focus, pytest.approx(0.67868365, abs=1e-6))
+        assert err == (f"no codebook exists (failing focus angles: odd size {odd!r}, "
+                       f"even size {even!r})\n")
 
 
 class TestConfigErrors:
+    @pytest.mark.parametrize("r,expected", [("0.25", 0), ("0.2499", 2)])
+    def test_minimum_gain_ratio_is_inclusive(self, r, expected, capsys):
+        # 0.25 is the documented minimum, though its threshold maps back to
+        # a ratio an ulp below it.
+        code, out, err = run_cli(
+            ["design", "--antennas", "64", "--frac-bandwidth", "0.01", "--r", r,
+             "--snr-db", "0", "--subcarriers", "256"], capsys)
+        assert code == expected
+        if expected:
+            assert out == "" and "below 0.25" in err
+        else:
+            assert out.startswith("focus[-],left[-],right[-],width[-]\n")
+            assert len(out.strip().split("\n")) > 2
+
+    def test_bsup_at_the_minimum_gain_ratio(self, capsys):
+        code, out, _ = run_cli(
+            ["bsup", "--antennas", "64", "--r", "0.25", "--snr-db", "0",
+             "--tol-b", "1e-3", "--subcarriers", "256"], capsys)
+        assert code == 0 and float(out.split("\n")[1].split(",")[1]) > 0
+
     def test_unknown_flag_exits_2(self, capsys):
         code, _, _ = run_cli(["capacity", "--no-such-flag", "1"], capsys)
         assert code == 2

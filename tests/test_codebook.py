@@ -8,8 +8,8 @@ from beamsquint import (ArrayConfig, BandConfig, Beam, Codebook, ConfigError, Do
                         beamwidth_nbs, capacity_bs, capacity_threshold,
                         capacity_threshold_3db, coverage_check, design_codebook,
                         estimate_bsup, fit_bsup_constant, improvement_max,
-                        improvement_ratio, solve_focus_from_left, solve_left_edge,
-                        solve_right_edge, traditional_min_capacity)
+                        improvement_ratio, solve_focus_from_left, solve_right_edge,
+                        traditional_min_capacity)
 from beamsquint import codebook
 from beamsquint.codebook import _coverage_grid
 
@@ -35,24 +35,35 @@ class TestEdgeSolvers:
         half = beamwidth_nbs(c_t, band, arr) / 2
         assert solve_right_edge(0.3, c_t, band, arr) == pytest.approx(
             0.3 + half, abs=1e-9)
-        assert solve_left_edge(0.3, c_t, band, arr) == pytest.approx(
+        # The left edge is the right edge of the mirrored beam, reflected.
+        assert -solve_right_edge(-0.3, c_t, band, arr) == pytest.approx(
             0.3 - half, abs=1e-9)
 
     def test_broadside_edges_mirror(self):
+        # The broadside beam's left edge, found by a scan of a window that
+        # holds it, is its reflected right edge.
         arr = ArrayConfig(32)
         band = band_for(0.0342)
         c_t = threshold(band, arr)
         right = solve_right_edge(0.0, c_t, band, arr)
-        left = solve_left_edge(0.0, c_t, band, arr)
-        assert left == pytest.approx(-right, abs=1e-12)
+        lo = -right - 1e-3
+        left = scan_first_at_or_above(
+            lambda p: capacity_bs(0.0, p, band, arr), lo, -right + 1e-3, c_t)
+        assert lo < left and abs(left + right) < 2e-6
 
     def test_edges_reflect_between_foci(self):
         arr = ArrayConfig(64)
         band = band_for(0.0342)
         c_t = threshold(band, arr)
         for psi_f in (0.5, 0.9):
-            assert solve_left_edge(-psi_f, c_t, band, arr) == pytest.approx(
-                -solve_right_edge(psi_f, c_t, band, arr), abs=1e-12)
+            # Capacity is symmetric under (psi_f, psi) -> (-psi_f, -psi), so
+            # the beam at -psi_f crosses c_t at the reflected right edge.
+            right = solve_right_edge(psi_f, c_t, band, arr)
+            ps = right + np.array([-1e-3, -1e-6, 0.0, 1e-9, 1e-6])
+            assert capacity_bs(-psi_f, -ps, band, arr) == pytest.approx(
+                capacity_bs(psi_f, ps, band, arr), rel=1e-12)
+            assert (capacity_bs(-psi_f, -right, band, arr) >= c_t
+                    > capacity_bs(-psi_f, -right - 1e-9, band, arr))
 
     def test_right_edge_matches_grid_scan(self):
         # Verified against a brute 1e-6-step scan for coverage >= threshold.
@@ -71,7 +82,7 @@ class TestEdgeSolvers:
         band = band_for(0.0342)
         c_t = threshold(band, arr)
         half = beamwidth_nbs(c_t, band, arr) / 2
-        root = solve_left_edge(0.5, c_t, band, arr)
+        root = -solve_right_edge(-0.5, c_t, band, arr)  # the mirrored beam
         oracle = scan_first_at_or_above(
             lambda p: capacity_bs(0.5, p, band, arr), 0.5 - half, 0.5, c_t)
         assert abs(root - oracle) < 2e-6
@@ -100,7 +111,7 @@ class TestEdgeSolvers:
         c_t = threshold(band, arr)
         for psi_l in (0.0, 0.4, 0.85):
             focus = solve_focus_from_left(psi_l, c_t, band, arr)
-            assert solve_left_edge(focus, c_t, band, arr) == pytest.approx(
+            assert -solve_right_edge(-focus, c_t, band, arr) == pytest.approx(
                 psi_l, abs=1e-8)
 
     def test_infeasible_focus_raises_with_position(self):
@@ -113,8 +124,8 @@ class TestEdgeSolvers:
         with pytest.raises(InfeasibleError):
             solve_focus_from_left(0.9, c_t, band, arr)
         with pytest.raises(InfeasibleError) as err:
-            solve_left_edge(0.9, c_t, band, arr)
-        assert err.value.failing_focus == 0.9
+            solve_right_edge(-0.9, c_t, band, arr)  # the mirrored beam
+        assert err.value.failing_focus == -0.9
 
 
 def uniform_tiling_sizes(psi_m, halfwidth):
@@ -226,6 +237,14 @@ class TestDesignCodebook:
             design_codebook(1.0, threshold(band, arr), band, arr)
         assert "no codebook exists" in str(err.value)
         assert err.value.failing_focus is not None
+        # The odd size's failure is failing_focus, the even size's even_focus,
+        # and the message names both.
+        for build, focus in ((codebook._odd_codebook, err.value.failing_focus),
+                             (codebook._even_codebook, err.value.even_focus)):
+            with pytest.raises(InfeasibleError) as chain:
+                build(1.0, threshold(band, arr), band, arr)
+            assert chain.value.failing_focus == focus
+            assert str(chain.value) in str(err.value)
 
     def test_psi_m_domain(self):
         arr = ArrayConfig(16)
@@ -534,14 +553,14 @@ class TestBandwidthLimit:
         with pytest.raises(ConfigError):
             estimate_bsup(ArrayConfig(8), SQRT2_OVER_2, snr=1.0, tol_b=tol_b, n_f=64)
 
-    def test_fit_recovers_exact_inverse_law(self):
-        fit = fit_bsup_constant([16, 32, 64], SQRT2_OVER_2, snr=1.0,
-                                bsup_values=[3.04 / 16, 3.04 / 32, 3.04 / 64])
+    def test_fit_recovers_exact_inverse_law(self, monkeypatch):
+        monkeypatch.setattr(codebook, "estimate_bsup",
+                            lambda arr, *args: 3.04 / arr.n_antennas)
+        fit = fit_bsup_constant([16, 32, 64], SQRT2_OVER_2, snr=1.0)
         assert fit.a == pytest.approx(3.04, abs=1e-12)
         assert fit.max_deviation < 1e-12
         assert fit.bsup_by_n[32] == 3.04 / 32
 
     def test_fit_needs_three_sizes(self):
         with pytest.raises(ConfigError):
-            fit_bsup_constant([16, 32], SQRT2_OVER_2, snr=1.0,
-                              bsup_values=[0.1, 0.05])
+            fit_bsup_constant([16, 32], SQRT2_OVER_2, snr=1.0)

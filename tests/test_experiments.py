@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from beamsquint import (INFEASIBLE_MARKER, ArrayConfig, ConfigError, rerun,
+from beamsquint import (INFEASIBLE_MARKER, ArrayConfig, ConfigError,
+                        codebook, experiments, fit_bsup_constant, rerun,
                         sweep_capacity_vs_bandwidth, sweep_codebook_size_vs_n,
                         sweep_gain_pattern, sweep_improvement_max_vs_b,
                         sweep_improvement_vs_focus, verify_facts)
@@ -213,6 +214,35 @@ class TestVerifyFacts:
 
     def test_inverse_law_constant_recorded(self, facts_ledger):
         assert facts_ledger.params["fact3_a"] == pytest.approx(3.0, abs=0.1)
+
+    def test_draw_order_is_pinned(self):
+        # Frozen worst margins: any change to the order of the RNG draws
+        # (size, bandwidths, focus, angle; an empty safe range draws no
+        # angle) changes them.
+        sr = verify_facts(fact1_samples=300, fact2_samples=300, n_f=32,
+                          n_range=(2, 8), b_max=1.9, fact3_n_values=())
+        assert sr.rows[:2] == ((1.0, 300.0, 0.0, -1.3019849642859072e-08),
+                               (2.0, 300.0, 0.0, -2.4442241142092452e-08))
+
+    def test_fact3_shares_the_fit_of_fit_bsup_constant(self, monkeypatch):
+        bsup = {16: 0.19, 24: 0.125, 32: 0.0951}
+        for module in (experiments, codebook):
+            monkeypatch.setattr(module, "estimate_bsup",
+                                lambda arr, *args: bsup[arr.n_antennas])
+        sr = verify_facts(fact1_samples=0, fact2_samples=0,
+                          fact3_n_values=(16, 24, 32), fact3_rel_tol=0.005)
+        fit = fit_bsup_constant([16, 24, 32], SQRT2_OVER_2, snr=1.0)
+        assert sr.params["fact3_a"] == fit.a
+        assert sr.rows[2][3] == fit.max_deviation / fit.a
+        rel = [abs(n * b - fit.a) / fit.a for n, b in bsup.items()]
+        assert sr.rows[2][2] == sum(d > 0.005 for d in rel) == 2
+        # The ledger also takes one or two sizes, which the fit refuses.
+        for ns in ((16,), (16, 32)):
+            row = verify_facts(fact1_samples=0, fact2_samples=0,
+                               fact3_n_values=ns).rows[2]
+            assert row[:2] == (3.0, float(len(ns)))
+            with pytest.raises(ConfigError):
+                fit_bsup_constant(list(ns), SQRT2_OVER_2, snr=1.0)
 
     def test_fact3_can_be_skipped(self):
         sr = verify_facts(fact1_samples=10, fact2_samples=10, fact3_n_values=())
