@@ -16,7 +16,14 @@ is found by the bracketed secant solver of :mod:`beamsquint.roots`, on the
 side of the root where the beam meets c_t exactly.  Each solve after a
 chain's first beam starts from a root predicted from the chain's own
 earlier beams, which narrows the bracket to about the prediction's error;
-nothing is carried from one chain to the next.  When the capacity at a
+nothing is carried from one chain to the next.  The capacity at a solve's
+bracket start, C(psi, psi) at a focus or at a left edge, is evaluated for
+its sign only where that sign is not proved: C(psi, psi) does not rise
+with |psi| while every subcarrier stays in the main lobe, so one
+evaluation per design proves that it meets c_t up to some angle (see
+:func:`_certified_reach`), and within that angle it is evaluated only when
+a secant step needs its value.  A skipped sign is proved, not assumed, so
+every result is the same bits.  When the capacity at a
 required focus cannot reach the threshold, no codebook exists for that
 fractional bandwidth; the largest workable bandwidth is itself located by
 bisection on feasibility.
@@ -113,12 +120,15 @@ class Codebook:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Outcome of one codebook design attempt."""
+    """Outcome of one codebook design attempt; an infeasible one names the
+    odd size's failing focus in ``failing_focus`` and the even size's in
+    ``even_focus``, as :class:`~beamsquint.errors.InfeasibleError` does."""
 
     n: int
     b: float
     failing_focus: float | None = None
     size_if_feasible: int | None = None
+    even_focus: float | None = None
 
     @property
     def feasible(self) -> bool:
@@ -137,7 +147,7 @@ class BsupFit:
 
 def solve_right_edge(psi_f: float, c_t: float, band: BandConfig,
                      arr: ArrayConfig, *, guess: float | None = None,
-                     spread: float = 0.0) -> float:
+                     spread: float = 0.0, reach: float = -1.0) -> float:
     """Right coverage edge of a beam focused on ``psi_f``.
 
     The squinted capacity decreases from its value at the focus through
@@ -146,7 +156,11 @@ def solve_right_edge(psi_f: float, c_t: float, band: BandConfig,
     With zero fractional bandwidth the edge sits exactly on the no-squint
     bracket boundary.  A predicted edge ``guess`` and its ``spread`` are
     passed on to :func:`~beamsquint.roots.bisect`; the edge meets the same
-    conditions with or without them.
+    conditions with or without them.  ``reach`` is an angle such that the
+    capacity C(psi, psi) at a beam's own focus is proved to meet ``c_t``
+    for every |psi| <= reach, as :func:`_certified_reach` proves it; a
+    focus within it spares the solver that evaluation, and the default
+    proves nothing.  The edge is the same bits either way.
 
     Raises
     ------
@@ -156,7 +170,7 @@ def solve_right_edge(psi_f: float, c_t: float, band: BandConfig,
     """
     half = beamwidth_nbs(c_t, band, arr) / 2.0
     edge = bisect(lambda psi: capacity_bs(psi_f, psi, band, arr) - c_t,
-                  psi_f, psi_f + half, guess, spread)
+                  psi_f, psi_f + half, guess, spread, good_proved=abs(psi_f) <= reach)
     if edge is None:
         raise InfeasibleError(
             f"capacity at focus {psi_f} is below the threshold", psi_f)
@@ -165,14 +179,15 @@ def solve_right_edge(psi_f: float, c_t: float, band: BandConfig,
 
 def solve_focus_from_left(psi_l: float, c_t: float, band: BandConfig,
                           arr: ArrayConfig, *, guess: float | None = None,
-                          spread: float = 0.0) -> float:
+                          spread: float = 0.0, reach: float = -1.0) -> float:
     """Focus angle whose coverage starts exactly at ``psi_l``.
 
     As the focus moves right of ``psi_l`` the capacity delivered at
     ``psi_l`` falls; the focus is the point where it hits c_t, bracketed
     within half a no-squint beamwidth of ``psi_l``, taken on the side where
-    the capacity at ``psi_l`` still meets c_t.  ``guess`` and ``spread``
-    are as in :func:`solve_right_edge`.
+    the capacity at ``psi_l`` still meets c_t.  ``guess``, ``spread`` and
+    ``reach`` are as in :func:`solve_right_edge`; the capacity a beam
+    focused on ``psi_l`` delivers there is C(psi_l, psi_l).
 
     Raises
     ------
@@ -182,7 +197,7 @@ def solve_focus_from_left(psi_l: float, c_t: float, band: BandConfig,
     """
     half = beamwidth_nbs(c_t, band, arr) / 2.0
     focus = bisect(lambda pf: capacity_bs(pf, psi_l, band, arr) - c_t,
-                   psi_l, psi_l + half, guess, spread)
+                   psi_l, psi_l + half, guess, spread, good_proved=abs(psi_l) <= reach)
     if focus is None:
         raise InfeasibleError(
             f"no focus can deliver the threshold at left edge {psi_l}", psi_l)
@@ -221,7 +236,7 @@ class _Offsets:
 
 
 def _grow_chain(start_right: float, psi_m: float, c_t: float, band: BandConfig,
-                arr: ArrayConfig) -> list[tuple[float, float, float]]:
+                arr: ArrayConfig, reach: float) -> list[tuple[float, float, float]]:
     """Chain (focus, left, right) triples rightward until psi_m is covered.
 
     Beams change slowly along a chain, so each solve after the first beam
@@ -229,6 +244,8 @@ def _grow_chain(start_right: float, psi_m: float, c_t: float, band: BandConfig,
     extrapolated quadratically from the chain's last three beams, or
     linearly from two, with a spread of ``_SPREAD_GAIN`` times the previous
     prediction's error.  The first beam's solves use the full bracket.
+    Every solve whose bracket starts within ``reach`` is spared the
+    capacity there, see :func:`solve_right_edge`.
     """
     to_focus, to_edge = _Offsets(), _Offsets()
     out: list[tuple[float, float, float]] = []
@@ -237,10 +254,10 @@ def _grow_chain(start_right: float, psi_m: float, c_t: float, band: BandConfig,
         left = right
         guess, spread = to_focus.predict(left)
         focus = solve_focus_from_left(left, c_t, band, arr, guess=guess,
-                                      spread=spread)
+                                      spread=spread, reach=reach)
         guess, spread = to_edge.predict(focus)
         edge = solve_right_edge(focus, c_t, band, arr, guess=guess,
-                                spread=spread)
+                                spread=spread, reach=reach)
         if edge - left < _MIN_BEAM_WIDTH:
             raise InfeasibleError(
                 f"beam coverage collapsed below solver resolution at focus {focus}",
@@ -301,30 +318,105 @@ def _parities(psi_m: float, c_t: float, band: BandConfig, arr: ArrayConfig,
               first: str = "odd") -> Iterator[Codebook | InfeasibleError]:
     """The codebook of the ``first`` parity and then of the other, or the
     error that stopped each; a parity is built only when the caller asks
-    for it."""
+    for it.  Both share one :func:`_certified_reach`."""
     if not 0.0 < psi_m <= 1.0:
         raise DomainError(f"psi_m must be in (0, 1], got {psi_m}")
+    reach = None
     builds = (_odd_codebook, _even_codebook)
     for build in builds if first == "odd" else builds[::-1]:
         try:
-            yield build(psi_m, c_t, band, arr)
+            if reach is None:
+                reach = _certified_reach(psi_m, c_t, band, arr)
+            yield build(psi_m, c_t, band, arr, reach)
         except InfeasibleError as exc:
             yield exc
 
 
+def _certified_reach(psi_m: float, c_t: float, band: BandConfig,
+                     arr: ArrayConfig) -> float:
+    """An angle up to which C(psi, psi) >= c_t is proved for every |psi|,
+    as :func:`~beamsquint.capacity.capacity_bs` computes it; -1.0 when no
+    angle is.
+
+    C(psi, psi), a beam's capacity at its own focus, sees subcarrier xi at
+    offset x = (xi - 1)*psi.  D_N(u) = sum_k cos((N-1-2k)*u), and each
+    cosine decreases in |u| on [0, pi/N], so the gain falls as |x| grows
+    on the main lobe |x| <= 2/N: C(psi, psi) does not increase with |psi|
+    up to span = 2/(N*max|xi - 1|).  One evaluation at hi = min(psi_m,
+    span) that clears c_t + 3E, with E the rounding bound of
+    :func:`_on_focus_rounding`, proves the computed C(psi, psi) >= c_t at
+    every |psi| <= hi: c_t + 3E rounds to at least c_t + 2E, so the exact
+    C(psi, psi) >= C(hi, hi) >= c_t + E, and the computed value is within
+    E of it.  When hi does not clear, one bisection on [0, hi] finds a
+    point that does, and the proof holds up to it.  At zero bandwidth
+    C(psi, psi) is one value for every psi.  No monotone bracket is
+    assumed.  The checks every chain solve makes of ``c_t`` come first,
+    with the same errors.
+    """
+    beamwidth_nbs(c_t, band, arr)
+    target = c_t + 3.0 * _on_focus_rounding(band, arr)
+    excess = max(float(band.ratios[-1]) - 1.0, 1.0 - float(band.ratios[0]))
+    hi = psi_m
+    if excess > 0.0:
+        # The factor covers the three roundings of the span.
+        hi = min(psi_m, 2.0 / (arr.n_antennas * excess) * (1.0 - 1e-15))
+    if capacity_bs(hi, hi, band, arr) >= target:
+        return hi
+    reach = bisect(lambda psi: capacity_bs(psi, psi, band, arr) - target, 0.0, hi)
+    return -1.0 if reach is None else reach
+
+
+def _on_focus_rounding(band: BandConfig, arr: ArrayConfig) -> float:
+    """Bound E on the rounding error of ``capacity_bs(psi, psi)`` at
+    |psi| <= 1 with every offset x on the main lobe, |x| <= 2/N, against
+    the same sum taken exactly at the band's stored ratios xi.
+
+    With u = 2**-53, sin and log2 within 4 ulp, L from
+    :func:`~beamsquint.capacity.capacity_slope_bound` and P = B*log2(1 +
+    N*snr) the peak capacity:
+
+    * x = xi*psi - psi is computed within 3u*(1 + b/2) of (xi - 1)*psi;
+      by the proof of ``capacity_slope_bound``, whose L carries the factor
+      1 + b/2, that moves C by at most 3u*L;
+    * both sine arguments are within 3u relative, the sines within 4 ulp
+      and the quotient within 9u relative, so G = |D_N(pi*x/2)|/sqrt(N) is
+      computed within 24u*sqrt(N) on the main lobe (the numerator's
+      absolute error over sin(pi*x/2) >= 1/N where N*pi*x/2 >= pi/2, a
+      relative error below); a term's slope in G is at most
+      B/n_f*sqrt(snr)/ln 2, so C moves by at most 24u*B*sqrt(N*snr)/ln 2
+      <= 16u*L, as L >= (pi*N/4)*B*sqrt(N*snr)/ln 2;
+    * where |sin(pi*x/2)| < 1e-9 the gain is its limit sqrt(N), off by a
+      relative N^2*1e-18/6, which moves C by at most 1e-18*B*N^2;
+    * squaring, scaling by snr, adding 1 and log2 move a term t by at most
+      u*(4.4 + 8*t), so C by at most 5u*B + 8u*P;
+    * a sum of n_f non-negative terms errs by at most 1.01*(n_f - 1)*u of
+      itself in any order (Higham, Accuracy and Stability of Numerical
+      Algorithms, 2nd ed., sec. 4.2), and B/n_f and its product add 2u,
+      so at most (1.01*n_f + 1)*u*P.
+
+    E = u*(20*L + 8*B + (2*n_f + 16)*P) + 1e-18*B*N^2 exceeds their sum.
+    At N=64, 0 dB, b=2.5/73 and 2,048 subcarriers it is 4e-12, 8e-13 of c_t.
+    """
+    n = arr.n_antennas
+    peak = band.bandwidth * math.log2(1.0 + n * band.snr)
+    return (2.0 ** -53 * (20.0 * capacity_slope_bound(band, arr) + 8.0 * band.bandwidth
+                          + (2.0 * band.n_f + 16.0) * peak)
+            + 1e-18 * band.bandwidth * n * n)
+
+
 def _odd_codebook(psi_m: float, c_t: float, band: BandConfig,
-                  arr: ArrayConfig) -> Codebook:
+                  arr: ArrayConfig, reach: float) -> Codebook:
     """A beam centred on broadside, then pairs chained outward from its
     right edge."""
-    r0 = solve_right_edge(0.0, c_t, band, arr)
-    chain = _grow_chain(r0, psi_m, c_t, band, arr)
+    r0 = solve_right_edge(0.0, c_t, band, arr, reach=reach)
+    chain = _grow_chain(r0, psi_m, c_t, band, arr, reach)
     return _assemble(chain, (0.0, 0.0 - r0, r0), psi_m, c_t)
 
 
 def _even_codebook(psi_m: float, c_t: float, band: BandConfig,
-                   arr: ArrayConfig) -> Codebook:
+                   arr: ArrayConfig, reach: float) -> Codebook:
     """Pairs straddling broadside, the first coverage starting at 0."""
-    return _assemble(_grow_chain(0.0, psi_m, c_t, band, arr), None, psi_m, c_t)
+    return _assemble(_grow_chain(0.0, psi_m, c_t, band, arr, reach), None, psi_m, c_t)
 
 
 def assess_feasibility(psi_m: float, c_t: float, band: BandConfig,
@@ -334,7 +426,8 @@ def assess_feasibility(psi_m: float, c_t: float, band: BandConfig,
         cb = design_codebook(psi_m, c_t, band, arr)
     except InfeasibleError as exc:
         return FeasibilityReport(n=arr.n_antennas, b=band.b,
-                                 failing_focus=exc.failing_focus)
+                                 failing_focus=exc.failing_focus,
+                                 even_focus=exc.even_focus)
     return FeasibilityReport(n=arr.n_antennas, b=band.b, size_if_feasible=cb.size)
 
 

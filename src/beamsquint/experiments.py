@@ -59,6 +59,16 @@ def _has_non_finite(value) -> bool:
     return isinstance(value, (float, np.floating)) and not math.isfinite(value)
 
 
+def _bands(b_values: Sequence[float], n_f: int, snr: float) -> list[BandConfig]:
+    """One band per fractional bandwidth, built before any sweep point so
+    that an empty list of sizes or samples still checks every input;
+    with no bandwidths, ``n_f`` and ``snr`` are checked alone."""
+    bands = [BandConfig(b=b, n_f=n_f, snr=snr) for b in b_values]
+    if not bands:
+        BandConfig(b=0.0, n_f=n_f, snr=snr)
+    return bands
+
+
 def sweep_gain_pattern(arr: ArrayConfig, x_range: tuple[float, float] = (-1.0, 1.0),
                        steps: int = 1001) -> SweepResult:
     """Dense samples of the array gain magnitude over ``x_range``."""
@@ -100,16 +110,19 @@ def sweep_capacity_vs_bandwidth(arrays: Sequence[ArrayConfig], psi_f: float,
     for arr in arrays:
         columns.append((f"capacity_bs_n{arr.n_antennas}", "bit/s"))
         columns.append((f"capacity_nbs_n{arr.n_antennas}", "bit/s"))
+    # One band per bandwidth, built before any point, so an empty size list
+    # still checks every input.
+    bands = [BandConfig.from_hz(bw, carrier_hz, n_f, snr=p_over_sigma2_hz / bw)
+             for bw in bws.tolist()]
 
-    def point(bw: float) -> tuple[float, ...]:
-        row = [float(bw)]
+    def point(band: BandConfig) -> tuple[float, ...]:
+        row = [band.bandwidth]
         for arr in arrays:
-            band = BandConfig.from_hz(bw, carrier_hz, n_f, snr=p_over_sigma2_hz / bw)
             row.append(capacity_bs(psi_f, psi, band, arr))
             row.append(capacity_nbs(psi_f, psi, band, arr))
         return tuple(row)
 
-    rows = [point(float(bw)) for bw in bws]
+    rows = [point(band) for band in bands]
     return SweepResult(
         name="capacity-vs-bandwidth", columns=tuple(columns), rows=tuple(rows),
         params={"sweep": "capacity-vs-bandwidth",
@@ -129,11 +142,10 @@ def sweep_improvement_vs_focus(arrays: Sequence[ArrayConfig], b: float, r: float
     grid = _focus_grid(psi_f_step)
     columns = [("psi_f", "-")]
     columns += [(f"improvement_n{arr.n_antennas}", "-") for arr in arrays]
-    bands = {arr.n_antennas: BandConfig(b=b, n_f=n_f, snr=snr) for arr in arrays}
+    band = BandConfig(b=b, n_f=n_f, snr=snr)
 
     def point(pf: float) -> tuple[float, ...]:
-        return (pf,) + tuple(improvement_ratio(pf, r, bands[arr.n_antennas], arr)
-                             for arr in arrays)
+        return (pf,) + tuple(improvement_ratio(pf, r, band, arr) for arr in arrays)
 
     rows = [point(float(pf)) for pf in grid]
     return SweepResult(
@@ -154,15 +166,12 @@ def sweep_improvement_max_vs_b(arrays: Sequence[ArrayConfig],
     bs = [float(b) for b in b_values]
     columns = [("b", "-")]
     columns += [(f"improvement_max_n{arr.n_antennas}", "-") for arr in arrays]
+    bands = _bands(bs, n_f, snr)
 
-    def point(b: float) -> tuple[float, ...]:
-        row = [b]
-        for arr in arrays:
-            band = BandConfig(b=b, n_f=n_f, snr=snr)
-            row.append(improvement_max(r, band, arr))
-        return tuple(row)
+    def point(band: BandConfig) -> tuple[float, ...]:
+        return (band.b,) + tuple(improvement_max(r, band, arr) for arr in arrays)
 
-    rows = [point(b) for b in bs]
+    rows = [point(band) for band in bands]
     return SweepResult(
         name="improvement-max-vs-b", columns=tuple(columns), rows=tuple(rows),
         params={"sweep": "improvement-max-vs-b",
@@ -188,12 +197,12 @@ def sweep_codebook_size_vs_n(b_values: Sequence[float] | None = None,
     ns = [int(n) for n in n_values]
     columns = [("n_antennas", "count")]
     columns += [(f"size_b{b:g}", "count") for b in bs]
+    bands = _bands(bs, n_f, snr)
 
     def row_for(n: int) -> tuple[float, ...]:
         arr = ArrayConfig(n)
         row = [float(n)]
-        for b in bs:
-            band = BandConfig(b=b, n_f=n_f, snr=snr)
+        for band in bands:
             c_t = capacity_threshold(r, band, arr)
             report = assess_feasibility(psi_m, c_t, band, arr)
             row.append(float(report.size_if_feasible) if report.feasible
@@ -235,6 +244,7 @@ def verify_facts(fact1_samples: int = 2000, fact2_samples: int = 2000,
                           f"{fact1_samples}, {fact2_samples} and {seed}")
     if not 1e-6 <= b_max < 2.0:  # fact 2 draws b from [1e-6, b_max)
         raise ConfigError(f"b_max must be in [1e-6, 2), got {b_max}")
+    BandConfig(b=0.0, n_f=n_f, snr=snr)  # checks n_f and snr, even with no samples
     rng = np.random.default_rng(seed)
     witnesses: dict[str, list] = {"fact1": [], "fact2": []}
 

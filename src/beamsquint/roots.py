@@ -10,8 +10,9 @@ monotone function.  A caller that can predict the root, as a codebook chain
 can from its earlier beams, passes the prediction and a spread: the first
 two steps then probe the prediction and a point one spread past it, under
 the same projection, so a good prediction leaves a narrow bracket and a bad
-one costs no step beyond the bound.  The steps are deterministic, so every
-run is bit-reproducible.
+one costs no step beyond the bound.  A caller that has proved the
+function non-negative at the good end spares its evaluation.  The steps
+are deterministic, so every run is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ SLACK = 2
 
 
 def bisect(f: Callable[[float], float], good: float, bad: float,
-           guess: float | None = None, spread: float = 0.0) -> float | None:
+           guess: float | None = None, spread: float = 0.0, *,
+           good_proved: bool = False) -> float | None:
     """Point of the bracket ``[good, bad]`` that meets ``f >= 0`` within
     ``TOL`` of the crossing, assuming ``f(good) >= 0 > f(bad)``.
 
@@ -49,10 +51,18 @@ def bisect(f: Callable[[float], float], good: float, bad: float,
     steps, so a guess at or past either end, or far off, keeps the bound.
     ``f(bad)`` is evaluated only when the bracket still ends at ``bad``
     after the probes.
+
+    ``f(good)`` is evaluated first, to tell whether a root is bracketed,
+    unless ``good_proved`` says that ``f(good) >= 0`` is already known.  It
+    is then evaluated only when a secant step needs its value, which no
+    step does once a probe has moved the good end; ``f`` is pure, so the
+    result is the same either way.
     """
-    fg = f(good)
-    if fg < 0.0:
-        return None
+    fg = None  # f(good): once proved non-negative, needed only by a secant step
+    if not good_proved:
+        fg = f(good)
+        if fg < 0.0:
+            return None
     width = abs(bad - good)
     n_max = math.ceil(math.log2(max(width, TOL) / TOL)) + SLACK
     fb = None  # f(bad): not needed unless bad is still an end after the probes
@@ -72,6 +82,8 @@ def bisect(f: Callable[[float], float], good: float, bad: float,
         mid = 0.5 * (good + bad)
         radius = max(min(TOL * 2.0 ** (n_max - j - 1) - 0.5 * width,
                          0.5 * (width - TOL)), 0.0)
+        if secant and fg is None:
+            fg = f(good)
         x = (good * fb - bad * fg) / (fb - fg) if secant else guess
         if not abs(x - mid) <= radius:  # also a NaN point
             x = mid + math.copysign(radius, x - mid)

@@ -99,3 +99,16 @@ def both_parity_bsup(arr, r: float, snr: float, psi_m: float = 1.0,
         else:
             hi = mid
     return lo
+
+
+def long_double_on_focus_capacity(psi: np.ndarray, band, n: int) -> np.ndarray:
+    """C(psi, psi) at each ``psi`` taken in long double at the band's stored
+    ratios: offsets (xi - 1)*psi and the closed-form gain, each squinted
+    offset exactly 0 taking the limit sqrt(N)."""
+    ld = np.longdouble
+    pi = 4 * np.arctan(ld(1))
+    x = (band.ratios.astype(ld) - 1) * np.asarray(psi, dtype=ld)[:, np.newaxis]
+    den = np.sin(pi * x / 2)
+    safe = np.where(den == 0, ld(1), den)
+    g2 = np.where(den == 0, ld(n), (np.sin(n * pi * x / 2) / safe) ** 2 / n)
+    return (ld(band.bandwidth) / band.n_f * np.log2(1 + ld(band.snr) * g2).sum(axis=-1))

@@ -115,11 +115,13 @@ class TestDesignCommand:
         band = BandConfig.from_hz(2.5e9, 73e9, n_f=2048, snr=1.0)
         arr = ArrayConfig(128)
         report = assess_feasibility(1.0, capacity_threshold(R_3DB, band, arr), band, arr)
-        assert report.failing_focus == pytest.approx(0.67866771, abs=1e-6)
+        # The report names both sizes' failing foci too.
+        assert (report.failing_focus, report.even_focus) == (0.6786677104310394,
+                                                             0.6786836486584185)
         with pytest.raises(InfeasibleError) as exc:
             design_codebook(1.0, capacity_threshold(R_3DB, band, arr), band, arr)
         odd, even = exc.value.failing_focus, exc.value.even_focus
-        assert (odd, even) == (report.failing_focus, pytest.approx(0.67868365, abs=1e-6))
+        assert (odd, even) == (report.failing_focus, report.even_focus)
         assert err == (f"no codebook exists (failing focus angles: odd size {odd!r}, "
                        f"even size {even!r})\n")
 
@@ -236,6 +238,29 @@ class TestConfigErrors:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv, filled", [
+        (["sweep", "--kind", "improvement-vs-focus", "--n-list", "",
+          "--frac-bandwidth", "5"], ("--n-list", "8")),
+        (["sweep", "--kind", "improvement-max-vs-b", "--n-list", "", "--b-list", "7",
+          "--subcarriers", "3"], ("--n-list", "8")),
+        (["sweep", "--kind", "codebook-size-vs-n", "--n-list", "", "--b-list", "9"],
+         ("--n-list", "8")),
+        (["sweep", "--kind", "capacity-vs-bandwidth", "--n-list", "",
+          "--subcarriers", "3"], ("--n-list", "8")),
+        (["verify", "--fact1-samples", "0", "--fact2-samples", "0",
+          "--fact3-n-list", "", "--subcarriers", "3"], ("--fact1-samples", "1")),
+    ], ids=["improvement-vs-focus", "improvement-max-vs-b", "codebook-size-vs-n",
+            "capacity-vs-bandwidth", "verify"])
+    def test_empty_lists_still_check_the_band(self, argv, filled, capsys):
+        # With no array size or sample the band is still checked, with the
+        # message a non-empty list gives.
+        flag, value = filled
+        nonempty = list(argv)
+        nonempty[nonempty.index(flag) + 1] = value
+        expected = run_cli(nonempty, capsys)
+        assert expected[0] == 2 and expected[2].startswith("error: ")
+        assert run_cli(argv, capsys) == expected
+
     def test_bad_fractional_bandwidth_names_flag(self, capsys):
         code, _, err = run_cli(
             ["capacity", "--antennas", "16", "--frac-bandwidth", "2.5",
@@ -338,8 +363,8 @@ class TestSweepRerun:
 FUZZ_PALETTE = ["nan", "inf", "-inf", "-1", "0", "0.5", "2", "x", ""]
 _POINT_FLAGS = ["--antennas", "--frac-bandwidth", "--bandwidth-hz", "--carrier-hz",
                 "--subcarriers", "--snr-db"]
-# The value flags of every subcommand but verify, whose default sample
-# counts take minutes; --format and --out only choose where output goes.
+# The value flags of every subcommand; --format and --out only choose where
+# output goes.
 FUZZ_FLAGS = {
     "gain": ["--antennas", "--x-min", "--x-max", "--steps"],
     "capacity": _POINT_FLAGS + ["--psi-f", "--psi"],
@@ -351,7 +376,11 @@ FUZZ_FLAGS = {
               "--x-max", "--steps", "--psi-f", "--psi", "--psi-f-step",
               "--p-over-sigma2", "--bw-min-hz", "--bw-max-hz", "--carrier-hz", "--r",
               "--snr-db", "--psi-m", "--subcarriers"],
+    "verify": ["--fact1-samples", "--fact2-samples", "--seed", "--subcarriers",
+               "--snr-db", "--b-max", "--fact3-n-list", "--tol-b"],
 }
+# Flags the fuzz changes but never drops: verify's defaults take seconds.
+FUZZ_KEPT = {"--fact1-samples", "--fact2-samples", "--fact3-n-list"}
 # A valid argv of each subcommand in palette values; the fuzz sets, changes
 # or drops up to three of its flags, so a bad value is seen in a context
 # that gets past the other checks.
@@ -364,6 +393,10 @@ FUZZ_BASE = {
     "bsup": {"--antennas": "2", "--snr-db": "0", "--tol-b": "0.5"},
     "sweep": {"--antennas": "2", "--n-list": "2", "--b-list": "0.5",
               "--frac-bandwidth": "0.5", "--subcarriers": "2"},
+    # No samples and no sizes: the empty lists and zero counts every
+    # sweep must still check its inputs with.
+    "verify": {"--fact1-samples": "0", "--fact2-samples": "0", "--fact3-n-list": "",
+               "--subcarriers": "2", "--tol-b": "0.5"},
 }
 SWEEP_KINDS = ["gain-pattern", "capacity-vs-bandwidth", "improvement-vs-focus",
                "improvement-max-vs-b", "codebook-size-vs-n"]
@@ -379,6 +412,8 @@ def fuzz_argv(draw):
     if command == "sweep":
         argv += ["--kind", draw(st.sampled_from(SWEEP_KINDS))]
     for flag, value in {**FUZZ_BASE[command], **changes}.items():
+        if value is None and flag in FUZZ_KEPT:
+            value = FUZZ_BASE[command][flag]
         if value is not None:
             argv += [flag, value]
     return argv, not changes

@@ -13,7 +13,8 @@ from beamsquint import (ArrayConfig, BandConfig, Beam, Codebook, ConfigError, Do
 from beamsquint import codebook
 from beamsquint.codebook import _coverage_grid
 
-from oracles import (both_parity_bsup, exhaustive_coverage_check, ref_halfwidth,
+from oracles import (both_parity_bsup, exhaustive_coverage_check,
+                     long_double_on_focus_capacity, ref_halfwidth,
                      scan_first_at_or_above, scan_last_at_or_above)
 
 SQRT2_OVER_2 = math.sqrt(2.0) / 2.0
@@ -188,8 +189,9 @@ class TestDesignCodebook:
     def test_paper_design_solves_on_predicted_brackets(self, monkeypatch):
         # The paper's N=64 design, 2.5 GHz at 73 GHz and 0 dB: 169 solves
         # over both chains.  Predicting each root from the chain's earlier
-        # beams keeps them under 900 capacity evaluations; the full
-        # brackets took 1,306.
+        # beams, and proving the capacity at each bracket's start once per
+        # design, keeps them under 700 capacity evaluations; the full
+        # brackets took 1,306, and the predicted ones alone 852.
         counts = {"capacity": 0, "solves": 0}
 
         def counting(key, fn):
@@ -205,7 +207,7 @@ class TestDesignCodebook:
         cb = design_codebook(1.0, capacity_threshold_3db(band, arr), band, arr)
         assert cb.size == 84
         assert counts["solves"] == 169
-        assert counts["capacity"] <= 900
+        assert counts["capacity"] <= 700
 
     def test_odd_bookkeeping_counts_centre_plus_pairs(self):
         arr = ArrayConfig(16)
@@ -242,7 +244,7 @@ class TestDesignCodebook:
         for build, focus in ((codebook._odd_codebook, err.value.failing_focus),
                              (codebook._even_codebook, err.value.even_focus)):
             with pytest.raises(InfeasibleError) as chain:
-                build(1.0, threshold(band, arr), band, arr)
+                build(1.0, threshold(band, arr), band, arr, -1.0)
             assert chain.value.failing_focus == focus
             assert str(chain.value) in str(err.value)
 
@@ -480,7 +482,7 @@ class TestBandwidthLimit:
         above = band_for(bsup * 1.05, n_f=512)
         report = assess_feasibility(1.0, threshold(above, arr), above, arr)
         assert not report.feasible
-        assert report.failing_focus is not None
+        assert report.failing_focus is not None and report.even_focus is not None
         assert report.size_if_feasible is None
 
     @pytest.mark.parametrize("n", range(8, 21))
@@ -543,6 +545,21 @@ class TestBandwidthLimit:
             if n == 8:
                 assert "even" in firsts
 
+    def test_paper_size_bsup_evaluations(self, monkeypatch):
+        # N=64 at 0 dB to 1e-6: 14,950 capacity evaluations with predicted
+        # brackets alone, at most 12,400 with the on-focus certificate, and
+        # the same b_sup bits.
+        calls = [0]
+
+        def counting(*args):
+            calls[0] += 1
+            return capacity_bs(*args)
+
+        monkeypatch.setattr(codebook, "capacity_bs", counting)
+        assert estimate_bsup(ArrayConfig(64), SQRT2_OVER_2, 1.0, tol_b=1e-6) == \
+            0.04660606384277344
+        assert calls[0] <= 12_400
+
     def test_psi_m_domain(self):
         with pytest.raises(DomainError):
             estimate_bsup(ArrayConfig(8), SQRT2_OVER_2, snr=1.0, psi_m=1.5, n_f=64)
@@ -564,3 +581,95 @@ class TestBandwidthLimit:
     def test_fit_needs_three_sizes(self):
         with pytest.raises(ConfigError):
             fit_bsup_constant([16, 32], SQRT2_OVER_2, snr=1.0)
+
+
+def design_outcome(psi_m, c_t, band, arr):
+    """The codebook, or the infeasibility error's message and both foci."""
+    try:
+        return design_codebook(psi_m, c_t, band, arr)
+    except InfeasibleError as exc:
+        return str(exc), exc.failing_focus, exc.even_focus
+
+
+def without_certificate(monkeypatch):
+    """Make every design prove nothing in advance, as before the certificate."""
+    monkeypatch.setattr(codebook, "_certified_reach", lambda *args: -1.0)
+
+
+class TestOnFocusCertificate:
+    """``_certified_reach`` proves C(psi, psi) >= c_t up to an angle once per
+    design, so the chain solves skip the capacity at their bracket's start."""
+
+    @pytest.mark.parametrize("n", [8, 16, 64, 128])
+    @pytest.mark.parametrize("snr_db", [0.0, 3.0, 20.0])
+    def test_on_focus_capacity_does_not_rise_on_the_span(self, n, snr_db):
+        # Sampled on [0, span] with span = 2/(N*max|xi - 1|): the computed
+        # C(psi, psi) rises by no more than the rounding allowed at both
+        # samples, and stays within it of a long-double evaluation.
+        arr = ArrayConfig(n)
+        for bn in (0.25, 1.0, 2.0, 3.0, 4.0):
+            band = band_for(bn / n, snr=10 ** (snr_db / 10))
+            span = 2.0 / (n * np.max(np.abs(band.ratios - 1.0)))
+            psi = np.linspace(0.0, min(span, 1.0), 401)
+            caps = capacity_bs(psi, psi, band, arr)
+            error = codebook._on_focus_rounding(band, arr)
+            assert np.all(np.diff(caps) <= 2.0 * error)
+            if np.finfo(np.longdouble).eps < 1e-18:
+                exact = long_double_on_focus_capacity(psi[::20], band, n)
+                assert np.all(np.abs(caps[::20] - exact) <= error)
+
+    def test_reach_is_proved(self):
+        # Up to the reach every on-focus capacity meets c_t; a wide band
+        # certifies less than psi_m, and a narrow one all of it.
+        for n, bn, snr in ((16, 1.0, 1.0), (42, 3.05, 1.0), (64, 3.3, 2.0), (8, 6.0, 100.0)):
+            arr = ArrayConfig(n)
+            band = band_for(bn / n, snr=snr)
+            c_t = threshold(band, arr)
+            reach = codebook._certified_reach(1.0, c_t, band, arr)
+            assert (reach == 1.0) == (bn <= 3.0)
+            psi = np.linspace(-reach, reach, 2001)
+            assert np.all(capacity_bs(psi, psi, band, arr) >= c_t)
+
+    @pytest.mark.parametrize("n", [8, 16, 33, 42, 64, 100, 128])
+    def test_corpus_designs_do_not_depend_on_it(self, n, monkeypatch):
+        # The r = sqrt(2)/2 corpus of b*N and 0/3 dB, at 256 subcarriers to
+        # keep it quick: the same codebooks, or the same errors and foci.
+        arr = ArrayConfig(n)
+        cases = []
+        for bn in (0.25, 1.0, 2.0, 2.9, 2.95, 3.0, 3.05, 3.2, 3.3):
+            for snr in (1.0, 10 ** 0.3):
+                band = band_for(bn / n, n_f=256, snr=snr)
+                cases.append((1.0, threshold(band, arr), band, arr))
+        with_it = [design_outcome(*case) for case in cases]
+        without_certificate(monkeypatch)
+        assert [design_outcome(*case) for case in cases] == with_it
+
+    @pytest.mark.parametrize("n, band, r", [
+        (42, band_for(0.0714), SQRT2_OVER_2),
+        (128, BandConfig.from_hz(2.5e9, 73e9, n_f=2048, snr=1.0), SQRT2_OVER_2),
+        (32, band_for(0.166221), 0.4),
+    ], ids=["infeasible-n42", "infeasible-n128", "low-r-reproducer"])
+    def test_named_designs_do_not_depend_on_it(self, n, band, r, monkeypatch):
+        arr = ArrayConfig(n)
+        c_t = threshold(band, arr, r)
+        with_it = design_outcome(1.0, c_t, band, arr)
+        without_certificate(monkeypatch)
+        assert design_outcome(1.0, c_t, band, arr) == with_it
+
+    @pytest.mark.parametrize("psi_m, c_t", [
+        (1.0, math.log2(1.0 + 16)), (1.0, 100.0), (1.0, 0.0), (1.0, -1.0),
+        (1.0, math.nan), (0.0, 3.0), (1.5, 3.0), (math.nan, 3.0),
+    ], ids=["c_t-at-peak", "c_t-above-peak", "c_t-zero", "c_t-negative",
+            "c_t-nan", "psi_m-zero", "psi_m-above-1", "psi_m-nan"])
+    def test_bad_inputs_raise_as_without_it(self, psi_m, c_t, monkeypatch):
+        arr, band = ArrayConfig(16), band_for(0.01, n_f=64)
+
+        def raised():
+            with pytest.raises((InfeasibleError, DomainError)) as err:
+                design_codebook(psi_m, c_t, band, arr)
+            exc = err.value
+            return type(exc), str(exc), getattr(exc, "failing_focus", None)
+
+        with_it = raised()
+        without_certificate(monkeypatch)
+        assert raised() == with_it

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from beamsquint.roots import SLACK, TOL, bisect
 
@@ -129,3 +131,55 @@ class TestPredictedBracket:
     def test_bad_end_that_meets_the_predicate_is_the_root(self, guess):
         assert bisect(lambda x: 1.0, 3.0, 0.0, guess, 0.5) == 0.0
         assert bisect(lambda x: 1.0, 0.0, 3.0, guess, 1e-9) == 3.0
+
+
+# Monotone non-increasing predicates with their root at r, and a rate a > 0.
+MONOTONE = {
+    "linear": lambda r, a: lambda x: a * (r - x),
+    "cubic": lambda r, a: lambda x: a * (r - x) ** 3,
+    "tanh": lambda r, a: lambda x: math.tanh(a * (r - x)),
+    "exponential": lambda r, a: lambda x: math.exp(-a * x) - math.exp(-a * r),
+    "step": lambda r, a: lambda x: a if x <= r else -a,
+}
+
+
+class TestProvedGoodEnd:
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(kind=st.sampled_from(sorted(MONOTONE)),
+           root=st.floats(0.0, 1.0),
+           rate=st.floats(1e-3, 1e3),
+           guess=st.none() | st.floats(-0.5, 1.5),
+           spread=st.floats(0.0, 0.5),
+           flipped=st.booleans())
+    def test_a_proved_good_end_changes_no_bit(self, kind, root, rate, guess,
+                                              spread, flipped):
+        # With f(good) >= 0 known, the solver returns the same bits, and
+        # evaluates f(good) only for a secant step: never once the first
+        # probe has met the predicate and moved the good end.
+        fn = MONOTONE[kind](root, rate)
+        good, bad = (1.0, 0.0) if flipped else (0.0, 1.0)
+        f = (lambda x: fn(1.0 - x)) if flipped else fn
+        assume(f(good) >= 0.0)
+        plain = bisect(f, good, bad, guess, spread)
+        points = []
+
+        def traced(x):
+            points.append(x)
+            return f(x)
+        proved = bisect(traced, good, bad, guess, spread, good_proved=True)
+        assert proved == plain and math.copysign(1.0, proved) == math.copysign(1.0, plain)
+        if guess is not None and points and points[0] not in (good, bad) \
+                and f(points[0]) >= 0.0:
+            assert good not in points
+
+    def test_a_first_probe_that_meets_spares_the_good_end(self):
+        f, calls = counted(lambda x: ROOT - x)
+        plain = bisect(f, 0.0, 1.0, ROOT - 1e-7, 1e-6)
+        points = []
+
+        def traced(x):
+            points.append(x)
+            return ROOT - x
+        assert bisect(traced, 0.0, 1.0, ROOT - 1e-7, 1e-6, good_proved=True) == plain
+        # f(good), two probes and two secant steps, less f(good).
+        assert (calls[0], len(points)) == (5, 4) and 0.0 not in points
