@@ -30,10 +30,9 @@ MIN_REGION_R = 0.25
 # Gain ratio of the 3 dB capacity threshold, the default everywhere.
 R_3DB = math.sqrt(2.0) / 2.0
 
-# Relative rounding allowed in a value recovered through a round trip: b
-# from bandwidth_hz/carrier_hz, and the gain ratio that beamwidth_nbs
-# recovers from its capacity threshold, which can land a few ulps below
-# the ratio the threshold was computed from.
+# Relative rounding allowed in the gain ratio that beamwidth_nbs recovers
+# from its capacity threshold, which can land a few ulps below the ratio
+# the threshold was computed from.
 _REL_TOL = 1e-12
 
 # Angles x subcarriers per block in the vector path of capacity_bs: 2**16
@@ -48,8 +47,8 @@ class BandConfig:
 
     ``snr`` is the ratio of total received power to in-band noise power,
     P/(B*sigma^2).  When ``bandwidth_hz`` is absent all capacities are
-    reported per unit bandwidth.  If both absolute frequencies are given
-    they must be consistent with ``b``.  ``ratios``, the subcarrier
+    reported per unit bandwidth; :meth:`from_hz` builds a band from
+    absolute frequencies.  ``ratios``, the subcarrier
     frequency ratios (read-only), is computed once from ``b`` and ``n_f``.
     """
 
@@ -57,7 +56,6 @@ class BandConfig:
     n_f: int
     snr: float
     bandwidth_hz: float | None = None
-    carrier_hz: float | None = None
     ratios: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -66,13 +64,6 @@ class BandConfig:
         object.__setattr__(self, "ratios", subcarrier_grid(self.b, self.n_f))
         if self.bandwidth_hz is not None:
             _require_finite_positive("bandwidth_hz", self.bandwidth_hz)
-        if self.carrier_hz is not None:
-            _require_finite_positive("carrier_hz", self.carrier_hz)
-        if self.bandwidth_hz is not None and self.carrier_hz is not None:
-            implied = self.bandwidth_hz / self.carrier_hz
-            if abs(implied - self.b) > _REL_TOL * max(abs(self.b), implied):
-                raise ConfigError(
-                    f"b={self.b} inconsistent with bandwidth_hz/carrier_hz={implied}")
 
     @classmethod
     def from_hz(cls, bandwidth_hz: float, carrier_hz: float, n_f: int,
@@ -80,7 +71,7 @@ class BandConfig:
         """Build a band from absolute frequencies; b = bandwidth/carrier."""
         _require_finite_positive("carrier_hz", carrier_hz)
         return cls(b=bandwidth_hz / carrier_hz, n_f=n_f, snr=snr,
-                   bandwidth_hz=bandwidth_hz, carrier_hz=carrier_hz)
+                   bandwidth_hz=bandwidth_hz)
 
     @property
     def bandwidth(self) -> float:
@@ -237,8 +228,7 @@ def capacity_threshold(r: float, band: BandConfig, arr: ArrayConfig) -> float:
     B*log2(1 + r^2*N*snr).  ``r = sqrt(2)/2`` gives the 3 dB variant, see
     :func:`capacity_threshold_3db`.
     """
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"r must be in (0, 1), got {r}")
+    _require_ratio(r)
     return band.bandwidth * math.log2(1.0 + r * r * arr.n_antennas * band.snr)
 
 
@@ -256,6 +246,22 @@ def _gain_halfwidth(r: float, n: int) -> float:
     return bisect(lambda w: gain_mag(w, cfg) - target, 0.0, cfg.main_lobe_half_span)
 
 
+def _require_ratio(r: float) -> None:
+    """Reject a gain ratio outside (0, 1), NaN included."""
+    if not 0.0 < r < 1.0:
+        raise DomainError(f"r must be in (0, 1), got {r}")
+
+
+def _require_region_ratio(r: float) -> None:
+    """Reject a gain ratio that :func:`gain_region` cannot take: outside
+    (0, 1) or below MIN_REGION_R."""
+    _require_ratio(r)
+    if _below_main_lobe(r):
+        raise ConfigError(
+            f"r={r} is below {MIN_REGION_R}; sidelobes would qualify and only the "
+            "main lobe is modelled")
+
+
 def _below_main_lobe(r: float) -> bool:
     """True if gain ratio ``r`` is below MIN_REGION_R beyond rounding, so
     that sidelobes would qualify for its gain region."""
@@ -270,12 +276,7 @@ def gain_region(psi_f: float, r: float, arr: ArrayConfig) -> GainRegion:
     then clipped to the visible region.  ``r`` below 0.25 is rejected:
     sidelobes would start to qualify and are out of scope for this model.
     """
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"r must be in (0, 1), got {r}")
-    if _below_main_lobe(r):
-        raise ConfigError(
-            f"r={r} is below {MIN_REGION_R}; sidelobes would qualify and only the "
-            "main lobe is modelled")
+    _require_region_ratio(r)
     w = _gain_halfwidth(float(r), arr.n_antennas)
     return GainRegion(psi_f=psi_f, r=r,
                       lo=max(psi_f - w, -1.0), hi=min(psi_f + w, 1.0))

@@ -73,10 +73,10 @@ def _require(value, flag: str):
     return value
 
 
-def _array_sizes(args: argparse.Namespace) -> list[int]:
-    """The required --n-list, each entry checked as an array size."""
-    sizes = _parse_list(_require(args.n_list, "--n-list"), "--n-list", int)
-    return [_array_from_flag(n, "--n-list").n_antennas for n in sizes]
+def _array_sizes(raw: str | None, flag: str = "--n-list") -> list[int]:
+    """The required list ``raw`` of ``flag``, each entry checked as an array size."""
+    sizes = _parse_list(_require(raw, flag), flag, int)
+    return [_array_from_flag(n, flag).n_antennas for n in sizes]
 
 
 def _point_result(name: str, columns, row, params) -> SweepResult:
@@ -100,7 +100,7 @@ def _cmd_capacity(args) -> SweepResult:
         [args.psi_f, args.psi, band.b, cbs, cnbs, eff],
         {"command": "capacity", "n_antennas": arr.n_antennas, "b": band.b,
          "n_f": band.n_f, "snr": band.snr, "bandwidth_hz": band.bandwidth_hz,
-         "carrier_hz": band.carrier_hz, "psi_f": args.psi_f, "psi": args.psi})
+         "carrier_hz": args.carrier_hz, "psi_f": args.psi_f, "psi": args.psi})
 
 
 def _cmd_design(args) -> str:
@@ -159,21 +159,21 @@ _SWEEP_PARAMS = {
         "n_antennas": _array_from_flag(_require(a.antennas, "--antennas")).n_antennas,
         "x_range": [a.x_min, a.x_max], "steps": a.steps},
     "capacity-vs-bandwidth": lambda a: {
-        "n_antennas": _array_sizes(a), "psi_f": a.psi_f, "psi": a.psi,
+        "n_antennas": _array_sizes(a.n_list), "psi_f": a.psi_f, "psi": a.psi,
         "p_over_sigma2_hz": a.p_over_sigma2, "n_f": a.subcarriers,
         "bandwidth_range_hz": [a.bw_min_hz, a.bw_max_hz], "steps": a.steps,
         "carrier_hz": a.carrier_hz},
     "improvement-vs-focus": lambda a: {
-        "n_antennas": _array_sizes(a),
+        "n_antennas": _array_sizes(a.n_list),
         "b": _require(a.frac_bandwidth, "--frac-bandwidth"), "r": a.r,
         "snr": _snr_linear(a.snr_db), "n_f": a.subcarriers,
         "psi_f_step": a.psi_f_step},
     "improvement-max-vs-b": lambda a: {
-        "n_antennas": _array_sizes(a),
+        "n_antennas": _array_sizes(a.n_list),
         "b_values": None if a.b_list is None else _parse_list(a.b_list, "--b-list", float),
         "r": a.r, "snr": _snr_linear(a.snr_db), "n_f": a.subcarriers},
     "codebook-size-vs-n": lambda a: {
-        "n_values": _parse_list(_require(a.n_list, "--n-list"), "--n-list", int),
+        "n_values": _array_sizes(a.n_list),
         "b_values": _parse_list(_require(a.b_list, "--b-list"), "--b-list", float),
         "r": a.r, "snr": _snr_linear(a.snr_db), "psi_m": a.psi_m,
         "n_f": a.subcarriers},
@@ -181,7 +181,7 @@ _SWEEP_PARAMS = {
         "fact1_samples": a.fact1_samples, "fact2_samples": a.fact2_samples,
         "seed": a.seed, "n_f": a.subcarriers, "snr": _snr_linear(a.snr_db),
         "b_max": a.b_max,
-        "fact3_n_values": _parse_list(a.fact3_n_list, "--fact3-n-list", int),
+        "fact3_n_values": _array_sizes(a.fact3_n_list, "--fact3-n-list"),
         "fact3_tol_b": a.tol_b},
 }
 

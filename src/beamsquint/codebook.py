@@ -43,8 +43,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .array_model import ArrayConfig
-from .capacity import (BandConfig, _require_visible, beamwidth_nbs, capacity_bs,
-                       capacity_slope_bound, capacity_threshold, gain_region)
+from .capacity import (BandConfig, _require_finite_positive, _require_visible,
+                       beamwidth_nbs, capacity_bs, capacity_slope_bound,
+                       capacity_threshold, gain_region)
 from .errors import ConfigError, DomainError, InfeasibleError
 from .roots import bisect
 
@@ -236,8 +237,8 @@ class _Offsets:
 
 
 def _grow_chain(start_right: float, psi_m: float, c_t: float, band: BandConfig,
-                arr: ArrayConfig, reach: float) -> list[tuple[float, float, float]]:
-    """Chain (focus, left, right) triples rightward until psi_m is covered.
+                arr: ArrayConfig, reach: float) -> list[Beam]:
+    """Chain beams rightward from ``start_right`` until psi_m is covered.
 
     Beams change slowly along a chain, so each solve after the first beam
     starts from a prediction: its offset (focus - left, or right - focus)
@@ -248,7 +249,7 @@ def _grow_chain(start_right: float, psi_m: float, c_t: float, band: BandConfig,
     capacity there, see :func:`solve_right_edge`.
     """
     to_focus, to_edge = _Offsets(), _Offsets()
-    out: list[tuple[float, float, float]] = []
+    out: list[Beam] = []
     right = start_right
     while right < psi_m:
         left = right
@@ -264,23 +265,12 @@ def _grow_chain(start_right: float, psi_m: float, c_t: float, band: BandConfig,
                 focus)
         to_focus.observe(focus - left)
         to_edge.observe(edge - focus)
-        out.append((focus, left, edge))
+        out.append(Beam(focus, left, edge))
         right = edge
         if len(out) > _MAX_BEAMS:
             raise InfeasibleError(
                 f"beam count exceeded {_MAX_BEAMS} before reaching {psi_m}", focus)
     return out
-
-
-def _assemble(positives: list[tuple[float, float, float]],
-              centre: tuple[float, float, float] | None,
-              psi_m: float, c_t: float) -> Codebook:
-    """Mirror the positive-side chain about broadside and build the codebook."""
-    # 0.0 - x rather than -x keeps a 0.0 edge from turning into -0.0.
-    mirrored = [Beam(0.0 - f, 0.0 - r, 0.0 - l) for f, l, r in reversed(positives)]
-    middle = [Beam(*centre)] if centre is not None else []
-    ordered = mirrored + middle + [Beam(*t) for t in positives]
-    return Codebook(beams=tuple(ordered), psi_m=psi_m, c_t=c_t)
 
 
 def design_codebook(psi_m: float, c_t: float, band: BandConfig,
@@ -319,17 +309,20 @@ def _parities(psi_m: float, c_t: float, band: BandConfig, arr: ArrayConfig,
     """The codebook of the ``first`` parity and then of the other, or the
     error that stopped each; a parity is built only when the caller asks
     for it.  Both share one :func:`_certified_reach`."""
-    if not 0.0 < psi_m <= 1.0:
-        raise DomainError(f"psi_m must be in (0, 1], got {psi_m}")
+    _require_psi_m(psi_m)
     reach = None
-    builds = (_odd_codebook, _even_codebook)
-    for build in builds if first == "odd" else builds[::-1]:
+    for parity in ("odd", "even") if first == "odd" else ("even", "odd"):
         try:
             if reach is None:
                 reach = _certified_reach(psi_m, c_t, band, arr)
-            yield build(psi_m, c_t, band, arr, reach)
+            yield _codebook(parity, psi_m, c_t, band, arr, reach)
         except InfeasibleError as exc:
             yield exc
+
+
+def _require_psi_m(psi_m: float) -> None:
+    if not 0.0 < psi_m <= 1.0:
+        raise DomainError(f"psi_m must be in (0, 1], got {psi_m}")
 
 
 def _certified_reach(psi_m: float, c_t: float, band: BandConfig,
@@ -404,19 +397,20 @@ def _on_focus_rounding(band: BandConfig, arr: ArrayConfig) -> float:
             + 1e-18 * band.bandwidth * n * n)
 
 
-def _odd_codebook(psi_m: float, c_t: float, band: BandConfig,
-                  arr: ArrayConfig, reach: float) -> Codebook:
-    """A beam centred on broadside, then pairs chained outward from its
-    right edge."""
-    r0 = solve_right_edge(0.0, c_t, band, arr, reach=reach)
-    chain = _grow_chain(r0, psi_m, c_t, band, arr, reach)
-    return _assemble(chain, (0.0, 0.0 - r0, r0), psi_m, c_t)
-
-
-def _even_codebook(psi_m: float, c_t: float, band: BandConfig,
-                   arr: ArrayConfig, reach: float) -> Codebook:
-    """Pairs straddling broadside, the first coverage starting at 0."""
-    return _assemble(_grow_chain(0.0, psi_m, c_t, band, arr, reach), None, psi_m, c_t)
+def _codebook(parity: str, psi_m: float, c_t: float, band: BandConfig,
+              arr: ArrayConfig, reach: float) -> Codebook:
+    """The codebook of one ``parity``, its positive side chained outward and
+    mirrored about broadside: for the odd size from the right edge of a
+    beam centred on broadside, for the even size from 0, so that pairs
+    straddle broadside."""
+    start, centre = 0.0, []
+    if parity == "odd":
+        start = solve_right_edge(0.0, c_t, band, arr, reach=reach)
+        centre = [Beam(0.0, 0.0 - start, start)]
+    chain = _grow_chain(start, psi_m, c_t, band, arr, reach)
+    # 0.0 - x rather than -x keeps a 0.0 edge from turning into -0.0.
+    mirrored = [Beam(0.0 - b.focus, 0.0 - b.right, 0.0 - b.left) for b in reversed(chain)]
+    return Codebook(beams=tuple(mirrored + centre + chain), psi_m=psi_m, c_t=c_t)
 
 
 def assess_feasibility(psi_m: float, c_t: float, band: BandConfig,
@@ -502,8 +496,7 @@ def _screen_runs(grid: np.ndarray, focus: np.ndarray, floor: float, c_t: float,
 def _coverage_grid(psi_m: float, step: float) -> np.ndarray:
     """Sorted ``i * step`` for every integer ``i`` with ``|i * step| <=
     psi_m``, plus ``+-psi_m``."""
-    if not 0.0 < step < math.inf:
-        raise ConfigError(f"grid_step must be finite and positive, got {step}")
+    _require_finite_positive("grid_step", step)
     n = math.floor(psi_m / step) + 1  # past the last i, however the division rounds
     grid = np.arange(-n, n + 1) * step
     return np.unique(np.concatenate(([-psi_m, psi_m], grid[np.abs(grid) <= psi_m])))
@@ -568,10 +561,7 @@ def estimate_bsup(arr: ArrayConfig, r: float, snr: float, psi_m: float = 1.0,
     neighbouring probes tend to share it.  Every probe's verdict, and so
     the result, is that of a full two-parity design.
     """
-    if not 0.0 < tol_b < 2.0:
-        raise ConfigError(
-            f"tol_b must be in (0, 2), the width of the b bracket, got {tol_b}")
-
+    _require_tol_b(tol_b)
     first = "odd"
 
     def feasible(b: float) -> bool:
@@ -594,6 +584,12 @@ def estimate_bsup(arr: ArrayConfig, r: float, snr: float, psi_m: float = 1.0,
         else:
             hi = mid
     return lo
+
+
+def _require_tol_b(tol_b: float) -> None:
+    if not 0.0 < tol_b < 2.0:
+        raise ConfigError(
+            f"tol_b must be in (0, 2), the width of the b bracket, got {tol_b}")
 
 
 def fit_bsup_constant(n_values: Sequence[int], r: float, snr: float,

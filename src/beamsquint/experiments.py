@@ -18,11 +18,12 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .array_model import ArrayConfig, gain_mag
-from .capacity import (R_3DB, BandConfig, _require_visible, capacity_bs,
-                       capacity_nbs, capacity_threshold, spectral_efficiency_bs,
-                       squint_safe_range)
-from .codebook import (_focus_grid, _inverse_law, assess_feasibility,
-                       estimate_bsup, improvement_max, improvement_ratio)
+from .capacity import (R_3DB, BandConfig, _require_region_ratio, _require_visible,
+                       capacity_bs, capacity_nbs, capacity_threshold,
+                       spectral_efficiency_bs, squint_safe_range)
+from .codebook import (_focus_grid, _inverse_law, _require_psi_m, _require_tol_b,
+                       assess_feasibility, estimate_bsup, improvement_max,
+                       improvement_ratio)
 from .errors import ConfigError
 
 INFEASIBLE_MARKER = -1.0
@@ -143,6 +144,7 @@ def sweep_improvement_vs_focus(arrays: Sequence[ArrayConfig], b: float, r: float
     columns = [("psi_f", "-")]
     columns += [(f"improvement_n{arr.n_antennas}", "-") for arr in arrays]
     band = BandConfig(b=b, n_f=n_f, snr=snr)
+    _require_region_ratio(r)
 
     def point(pf: float) -> tuple[float, ...]:
         return (pf,) + tuple(improvement_ratio(pf, r, band, arr) for arr in arrays)
@@ -167,6 +169,7 @@ def sweep_improvement_max_vs_b(arrays: Sequence[ArrayConfig],
     columns = [("b", "-")]
     columns += [(f"improvement_max_n{arr.n_antennas}", "-") for arr in arrays]
     bands = _bands(bs, n_f, snr)
+    _require_region_ratio(r)
 
     def point(band: BandConfig) -> tuple[float, ...]:
         return (band.b,) + tuple(improvement_max(r, band, arr) for arr in arrays)
@@ -198,6 +201,8 @@ def sweep_codebook_size_vs_n(b_values: Sequence[float] | None = None,
     columns = [("n_antennas", "count")]
     columns += [(f"size_b{b:g}", "count") for b in bs]
     bands = _bands(bs, n_f, snr)
+    _require_region_ratio(r)
+    _require_psi_m(psi_m)
 
     def row_for(n: int) -> tuple[float, ...]:
         arr = ArrayConfig(n)
@@ -244,66 +249,54 @@ def verify_facts(fact1_samples: int = 2000, fact2_samples: int = 2000,
                           f"{fact1_samples}, {fact2_samples} and {seed}")
     if not 1e-6 <= b_max < 2.0:  # fact 2 draws b from [1e-6, b_max)
         raise ConfigError(f"b_max must be in [1e-6, 2), got {b_max}")
-    BandConfig(b=0.0, n_f=n_f, snr=snr)  # checks n_f and snr, even with no samples
+    _bands((), n_f, snr)
+    _require_tol_b(fact3_tol_b)
+    _require_region_ratio(fact3_r)
+    _require_psi_m(fact3_psi_m)
     rng = np.random.default_rng(seed)
-    witnesses: dict[str, list] = {"fact1": [], "fact2": []}
 
-    def draw_point(b_lo: float, pair: bool
-                   ) -> tuple[ArrayConfig, tuple[float, ...], float, float] | None:
-        """Array, fractional bandwidths, focus and an arrival angle in the
-        widest bandwidth's squint-safe range, drawn in that order; None,
-        with no angle drawn, when that range misses [-1, 1].  The widest
-        bandwidth b comes from [b_lo, b_max); with ``pair`` a narrower one
-        from [0, b) precedes it."""
-        n = int(rng.integers(n_range[0], n_range[1] + 1))
-        b = float(rng.uniform(b_lo, b_max))
-        bs = (float(rng.uniform(0.0, b)), b) if pair else (b,)
-        psi_f = float(rng.uniform(-1.0, 1.0))
-        arr = ArrayConfig(n)
-        lo, hi = squint_safe_range(psi_f, b, arr)
-        lo, hi = max(lo, -1.0), min(hi, 1.0)
-        if lo >= hi:
-            return None
-        return arr, bs, psi_f, float(rng.uniform(lo, hi))
+    def sample(count: int, b_lo: float, pair: bool,
+               check: Callable[..., tuple[float, list]]) -> tuple[float, list]:
+        """Worst margin of ``check`` over ``count`` points (0.0 for none) and a
+        witness per positive margin.  A point draws an array, fractional
+        bandwidths, a focus and an arrival angle in the widest bandwidth's
+        squint-safe range, in that order, and is redrawn, with no angle, when
+        that range misses [-1, 1].  The widest bandwidth b comes from [b_lo,
+        b_max); with ``pair`` a narrower one from [0, b) precedes it."""
+        worst, witnesses = -math.inf, []
+        while count > 0:
+            arr = ArrayConfig(int(rng.integers(n_range[0], n_range[1] + 1)))
+            b = float(rng.uniform(b_lo, b_max))
+            bs = (float(rng.uniform(0.0, b)), b) if pair else (b,)
+            psi_f = float(rng.uniform(-1.0, 1.0))
+            lo, hi = squint_safe_range(psi_f, b, arr)
+            lo, hi = max(lo, -1.0), min(hi, 1.0)
+            if lo >= hi:
+                continue
+            psi = float(rng.uniform(lo, hi))
+            margin, values = check(arr, [BandConfig(b=x, n_f=n_f, snr=snr) for x in bs],
+                                   psi_f, psi)
+            worst = max(worst, margin)
+            if margin > 0.0:
+                witnesses.append([arr.n_antennas, *bs, psi_f, psi, *values])
+            count -= 1
+        return (worst if math.isfinite(worst) else 0.0), witnesses
 
-    v1 = 0
-    worst1 = -math.inf
-    done = 0
-    while done < fact1_samples:
-        point = draw_point(0.0, pair=False)
-        if point is None:
-            continue
-        arr, (b,), psi_f, psi = point
-        band = BandConfig(b=b, n_f=n_f, snr=snr)
-        cbs = capacity_bs(psi_f, psi, band, arr)
-        cnbs = capacity_nbs(psi_f, psi, band, arr)
-        margin = cbs - cnbs * (1.0 + 1e-9)
-        worst1 = max(worst1, margin)
-        if margin > 0.0:
-            v1 += 1
-            witnesses["fact1"].append([arr.n_antennas, b, psi_f, psi, cbs, cnbs])
-        done += 1
+    def fact1(arr, bands, psi_f, psi):
+        cbs = capacity_bs(psi_f, psi, bands[0], arr)
+        cnbs = capacity_nbs(psi_f, psi, bands[0], arr)
+        return cbs - cnbs * (1.0 + 1e-9), [cbs, cnbs]
 
-    v2 = 0
-    worst2 = -math.inf
-    done = 0
-    while done < fact2_samples:
-        point = draw_point(1e-6, pair=True)
-        if point is None:
-            continue
-        arr, (b1, b2), psi_f, psi = point
-        e1 = spectral_efficiency_bs(psi_f, psi, BandConfig(b=b1, n_f=n_f, snr=snr), arr)
-        e2 = spectral_efficiency_bs(psi_f, psi, BandConfig(b=b2, n_f=n_f, snr=snr), arr)
-        margin = e2 - e1 - 1e-12
-        worst2 = max(worst2, margin)
-        if margin > 0.0:
-            v2 += 1
-            witnesses["fact2"].append([arr.n_antennas, b1, b2, psi_f, psi, e1, e2])
-        done += 1
+    def fact2(arr, bands, psi_f, psi):
+        e1, e2 = (spectral_efficiency_bs(psi_f, psi, band, arr) for band in bands)
+        return e2 - e1 - 1e-12, [e1, e2]
+
+    worst1, found1 = sample(fact1_samples, 0.0, False, fact1)
+    worst2, found2 = sample(fact2_samples, 1e-6, True, fact2)
 
     # The ledger takes any number of sizes, where the fit needs three.
     ns = [int(n) for n in fact3_n_values]
-    bsup = [estimate_bsup(ArrayConfig(n), fact3_r, snr, fact3_psi_m, fact3_tol_b)
+    bsup = [estimate_bsup(ArrayConfig(n), fact3_r, snr, fact3_psi_m, fact3_tol_b, n_f=n_f)
             for n in ns]
     a, v3, worst3 = 0.0, 0, 0.0
     if ns:
@@ -312,10 +305,8 @@ def verify_facts(fact1_samples: int = 2000, fact2_samples: int = 2000,
         v3 = int(np.sum(rel_dev > fact3_rel_tol))
         worst3 = float(np.max(rel_dev))
 
-    rows = ((1.0, float(fact1_samples), float(v1),
-             float(worst1) if math.isfinite(worst1) else 0.0),
-            (2.0, float(fact2_samples), float(v2),
-             float(worst2) if math.isfinite(worst2) else 0.0),
+    rows = ((1.0, float(fact1_samples), float(len(found1)), float(worst1)),
+            (2.0, float(fact2_samples), float(len(found2)), float(worst2)),
             (3.0, float(len(ns)), float(v3), worst3))
     return SweepResult(
         name="verify-facts",
@@ -332,7 +323,7 @@ def verify_facts(fact1_samples: int = 2000, fact2_samples: int = 2000,
                 "fact3_rel_tol": float(fact3_rel_tol),
                 "fact3_a": a,
                 "fact3_bsup": {str(n): v for n, v in zip(ns, bsup)},
-                "witnesses": witnesses})
+                "witnesses": {"fact1": found1, "fact2": found2}})
 
 
 # Keys in params that are emitted metadata rather than sweep inputs.

@@ -119,17 +119,20 @@ def codebook_to_json(cb: Codebook, band: BandConfig, arr: ArrayConfig,
 
 def codebook_to_csv(cb: Codebook) -> str:
     """Beam table without phases (use JSON for the full codebook)."""
-    lines = ["focus[-],left[-],right[-],width[-]"]
-    for beam in cb.beams:
-        lines.append(",".join(format_float(v)
-                              for v in (beam.focus, beam.left, beam.right, beam.width)))
-    return "\n".join(lines) + "\n"
+    return _csv_table((("focus", "-"), ("left", "-"), ("right", "-"), ("width", "-")),
+                      ((b.focus, b.left, b.right, b.width) for b in cb.beams))
 
 
 def sweep_to_csv(sr: SweepResult) -> str:
-    """Header ``label[unit],...`` then one LF-terminated line per row."""
-    lines = [",".join(f"{label}[{unit}]" for label, unit in sr.columns)]
-    lines += [",".join(map(format_float, row)) for row in sr.rows]
+    """The sweep's table as CSV, see :func:`_csv_table`."""
+    return _csv_table(sr.columns, sr.rows)
+
+
+def _csv_table(columns, rows) -> str:
+    """Header ``label[unit],...`` then one LF-terminated line per row of
+    floats."""
+    lines = [",".join(f"{label}[{unit}]" for label, unit in columns)]
+    lines += [",".join(map(format_float, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -43,10 +43,6 @@ class TestBandConfig:
     def test_dimensionless_bandwidth_is_one(self):
         assert BandConfig(b=0.03, n_f=64, snr=1.0).bandwidth == 1.0
 
-    def test_inconsistent_hz_pair(self):
-        with pytest.raises(ConfigError):
-            BandConfig(b=0.05, n_f=64, snr=1.0, bandwidth_hz=2.5e9, carrier_hz=73e9)
-
     @pytest.mark.parametrize("kwargs", [
         dict(b=0.03, n_f=64, snr=0.0),
         dict(b=0.03, n_f=64, snr=-1.0),

@@ -249,8 +249,20 @@ class TestConfigErrors:
           "--subcarriers", "3"], ("--n-list", "8")),
         (["verify", "--fact1-samples", "0", "--fact2-samples", "0",
           "--fact3-n-list", "", "--subcarriers", "3"], ("--fact1-samples", "1")),
+        (["sweep", "--kind", "improvement-vs-focus", "--n-list", "",
+          "--frac-bandwidth", "0.01", "--r", "5"], ("--n-list", "8")),
+        (["sweep", "--kind", "improvement-max-vs-b", "--n-list", "", "--b-list", "0.01",
+          "--r", "7"], ("--n-list", "8")),
+        (["sweep", "--kind", "codebook-size-vs-n", "--n-list", "", "--b-list", "0.01",
+          "--r", "5"], ("--n-list", "8")),
+        (["sweep", "--kind", "codebook-size-vs-n", "--n-list", "", "--b-list", "0.01",
+          "--psi-m", "5"], ("--n-list", "8")),
+        (["verify", "--fact1-samples", "0", "--fact2-samples", "0",
+          "--fact3-n-list", "", "--tol-b", "5"], ("--fact3-n-list", "8")),
     ], ids=["improvement-vs-focus", "improvement-max-vs-b", "codebook-size-vs-n",
-            "capacity-vs-bandwidth", "verify"])
+            "capacity-vs-bandwidth", "verify", "improvement-vs-focus-r",
+            "improvement-max-vs-b-r", "codebook-size-vs-n-r", "codebook-size-vs-n-psi-m",
+            "verify-tol-b"])
     def test_empty_lists_still_check_the_band(self, argv, filled, capsys):
         # With no array size or sample the band is still checked, with the
         # message a non-empty list gives.
@@ -260,6 +272,25 @@ class TestConfigErrors:
         expected = run_cli(nonempty, capsys)
         assert expected[0] == 2 and expected[2].startswith("error: ")
         assert run_cli(argv, capsys) == expected
+
+    def test_empty_size_list_still_checks_the_main_lobe(self, capsys):
+        # A non-empty list's message names the threshold of its first size.
+        for n_list in ("", "8"):
+            code, out, err = run_cli(
+                ["sweep", "--kind", "codebook-size-vs-n", "--n-list", n_list,
+                 "--b-list", "0.01", "--r", "0.1"], capsys)
+            assert (code, out) == (2, "")
+            assert "below 0.25" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep", "--kind", "codebook-size-vs-n", "--n-list", "64,1", "--b-list", "0.01"],
+         "--n-list"),
+        (["verify", "--fact3-n-list", "1"], "--fact3-n-list"),
+    ], ids=["codebook-size-vs-n", "verify"])
+    def test_sizes_are_checked_before_any_point(self, argv, flag, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag}: ")
 
     def test_bad_fractional_bandwidth_names_flag(self, capsys):
         code, _, err = run_cli(

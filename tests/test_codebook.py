@@ -241,10 +241,10 @@ class TestDesignCodebook:
         assert err.value.failing_focus is not None
         # The odd size's failure is failing_focus, the even size's even_focus,
         # and the message names both.
-        for build, focus in ((codebook._odd_codebook, err.value.failing_focus),
-                             (codebook._even_codebook, err.value.even_focus)):
+        for parity, focus in (("odd", err.value.failing_focus),
+                              ("even", err.value.even_focus)):
             with pytest.raises(InfeasibleError) as chain:
-                build(1.0, threshold(band, arr), band, arr, -1.0)
+                codebook._codebook(parity, 1.0, threshold(band, arr), band, arr, -1.0)
             assert chain.value.failing_focus == focus
             assert str(chain.value) in str(err.value)
 
@@ -501,16 +501,16 @@ class TestBandwidthLimit:
         # probes next to the limit, so both orders occur.
         calls = []
 
-        def spy(name, build):
-            def traced(*args):
-                try:
-                    book = build(*args)
-                except InfeasibleError:
-                    calls.append((name, False))
-                    raise
-                calls.append((name, True))
-                return book
-            return traced
+        build = codebook._codebook
+
+        def traced(parity, *args):
+            try:
+                book = build(parity, *args)
+            except InfeasibleError:
+                calls.append((parity, False))
+                raise
+            calls.append((parity, True))
+            return book
 
         parities = codebook._parities
 
@@ -518,8 +518,7 @@ class TestBandwidthLimit:
             calls.append(("probe", None))
             return parities(*args)
 
-        monkeypatch.setattr(codebook, "_odd_codebook", spy("odd", codebook._odd_codebook))
-        monkeypatch.setattr(codebook, "_even_codebook", spy("even", codebook._even_codebook))
+        monkeypatch.setattr(codebook, "_codebook", traced)
         monkeypatch.setattr(codebook, "_parities", probe)
         other = {"odd": "even", "even": "odd"}
         for n, snr in ((16, 1.0), (8, 10 ** 0.3)):

@@ -228,7 +228,7 @@ class TestVerifyFacts:
         bsup = {16: 0.19, 24: 0.125, 32: 0.0951}
         for module in (experiments, codebook):
             monkeypatch.setattr(module, "estimate_bsup",
-                                lambda arr, *args: bsup[arr.n_antennas])
+                                lambda arr, *args, **kwargs: bsup[arr.n_antennas])
         sr = verify_facts(fact1_samples=0, fact2_samples=0,
                           fact3_n_values=(16, 24, 32), fact3_rel_tol=0.005)
         fit = fit_bsup_constant([16, 24, 32], SQRT2_OVER_2, snr=1.0)
@@ -243,6 +243,15 @@ class TestVerifyFacts:
             assert row[:2] == (3.0, float(len(ns)))
             with pytest.raises(ConfigError):
                 fit_bsup_constant(list(ns), SQRT2_OVER_2, snr=1.0)
+
+    def test_fact3_uses_its_own_n_f(self):
+        # b_sup at 64 subcarriers, not at estimate_bsup's default 2,048.
+        sr = verify_facts(fact1_samples=0, fact2_samples=0, n_f=64,
+                          fact3_n_values=(8,), fact3_tol_b=1e-4)
+        own = codebook.estimate_bsup(ArrayConfig(8), SQRT2_OVER_2, 1.0, tol_b=1e-4, n_f=64)
+        assert sr.params["fact3_bsup"] == {"8": own}
+        assert own != codebook.estimate_bsup(ArrayConfig(8), SQRT2_OVER_2, 1.0, tol_b=1e-4)
+        assert own == pytest.approx(0.38446044, abs=1e-8)
 
     def test_fact3_can_be_skipped(self):
         sr = verify_facts(fact1_samples=10, fact2_samples=10, fact3_n_values=())
