@@ -130,7 +130,7 @@ def _cmd_bsup(args) -> SweepResult:
     params = {"command": "bsup", "r": r, "snr": snr, "psi_m": args.psi_m,
               "tol_b": args.tol_b, "n_f": args.subcarriers}
     if args.n_list is not None:
-        ns = _parse_list(args.n_list, "--n-list", int)
+        ns = _array_sizes(args.n_list)
         fit = fit_bsup_constant(ns, r, snr, psi_m=args.psi_m, tol_b=args.tol_b,
                                 n_f=args.subcarriers)
         return SweepResult(

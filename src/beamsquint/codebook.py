@@ -8,7 +8,8 @@ coverage edge abutting the previous beam's right edge.  Both a broadside-
 centred (odd-size) and an edge-started (even-size) chain are built and the
 smaller codebook wins; a feasibility probe builds one chain, the parity
 that succeeded on the previous feasible probe first, and the other only
-when that one fails.
+when that one fails.  A probe, or a cell of the codebook-size sweep, that
+is proved infeasible in advance builds neither (see below).
 
 Coverage edges and focus angles have no closed form; each is the root of a
 monotone capacity equation on a bracket of half the no-squint beamwidth and
@@ -25,7 +26,12 @@ evaluation per design proves that it meets c_t up to some angle (see
 a secant step needs its value.  A skipped sign is proved, not assumed, so
 every result is the same bits.  When the capacity at a
 required focus cannot reach the threshold, no codebook exists for that
-fractional bandwidth; the largest workable bandwidth is itself located by
+fractional bandwidth.  Every chain starts a beam within one no-squint
+beamwidth below psi_m, so where C(psi, psi) is proved below c_t on that
+whole interval, by a few batched evaluations and a slope bound (see
+:func:`_proved_infeasible`), both chains fail and a feasibility verdict
+needs neither; :func:`design_codebook` still builds both, to name where
+each fails.  The largest workable bandwidth is itself located by
 bisection on feasibility.
 
 Synthesis is sequential per codebook; distinct designs share no mutable
@@ -71,6 +77,11 @@ _DIRECT_POINTS = 4
 # floor: far above the rounding error of one capacity evaluation, so a run
 # proved by the slope bound also passes when evaluated point by point.
 _SCREEN_ALLOWANCE = 1e-9
+
+# Capacity evaluations _proved_infeasible may spend before it leaves a
+# verdict to the chains; 16 proves the same 23 cells of the default size
+# sweep as 256 does.
+_PROOF_POINTS = 16
 
 # Grid points per all-beam call of coverage_check's fallback: few enough
 # that an uncovered point ends the check early, many enough to batch.
@@ -348,7 +359,7 @@ def _certified_reach(psi_m: float, c_t: float, band: BandConfig,
     """
     beamwidth_nbs(c_t, band, arr)
     target = c_t + 3.0 * _on_focus_rounding(band, arr)
-    excess = max(float(band.ratios[-1]) - 1.0, 1.0 - float(band.ratios[0]))
+    excess = _max_offset_ratio(band)
     hi = psi_m
     if excess > 0.0:
         # The factor covers the three roundings of the span.
@@ -361,8 +372,9 @@ def _certified_reach(psi_m: float, c_t: float, band: BandConfig,
 
 def _on_focus_rounding(band: BandConfig, arr: ArrayConfig) -> float:
     """Bound E on the rounding error of ``capacity_bs(psi, psi)`` at
-    |psi| <= 1 with every offset x on the main lobe, |x| <= 2/N, against
-    the same sum taken exactly at the band's stored ratios xi.
+    |psi| <= 1, where every offset x = (xi - 1)*psi has |x| <= b/2 < 1,
+    against the same sum taken exactly at the band's stored ratios xi.
+    It holds on the main lobe and off it, where b*N > 4 can put offsets.
 
     With u = 2**-53, sin and log2 within 4 ulp, L from
     :func:`~beamsquint.capacity.capacity_slope_bound` and P = B*log2(1 +
@@ -373,9 +385,10 @@ def _on_focus_rounding(band: BandConfig, arr: ArrayConfig) -> float:
       1 + b/2, that moves C by at most 3u*L;
     * both sine arguments are within 3u relative, the sines within 4 ulp
       and the quotient within 9u relative, so G = |D_N(pi*x/2)|/sqrt(N) is
-      computed within 24u*sqrt(N) on the main lobe (the numerator's
-      absolute error over sin(pi*x/2) >= 1/N where N*pi*x/2 >= pi/2, a
-      relative error below); a term's slope in G is at most
+      computed within 24u*sqrt(N) at every |x| < 1 (where |x| >= 1/N, the
+      numerator's absolute error of at most 3u*N*pi*|x|/2 + 4u over
+      sqrt(N)*sin(pi*|x|/2) >= sqrt(N)*|x|, and a relative error nearer
+      broadside); a term's slope in G is at most
       B/n_f*sqrt(snr)/ln 2, so C moves by at most 24u*B*sqrt(N*snr)/ln 2
       <= 16u*L, as L >= (pi*N/4)*B*sqrt(N*snr)/ln 2;
     * where |sin(pi*x/2)| < 1e-9 the gain is its limit sqrt(N), off by a
@@ -395,6 +408,90 @@ def _on_focus_rounding(band: BandConfig, arr: ArrayConfig) -> float:
     return (2.0 ** -53 * (20.0 * capacity_slope_bound(band, arr) + 8.0 * band.bandwidth
                           + (2.0 * band.n_f + 16.0) * peak)
             + 1e-18 * band.bandwidth * n * n)
+
+
+def _max_offset_ratio(band: BandConfig) -> float:
+    """max|xi - 1| over the band's stored ratios: the offset x = (xi -
+    1)*psi that a beam's own focus psi sees is at most this times |psi|."""
+    return max(float(band.ratios[-1]) - 1.0, 1.0 - float(band.ratios[0]))
+
+
+def _on_focus_slope_bound(band: BandConfig, arr: ArrayConfig) -> float:
+    """Bound on |d/dpsi C(psi, psi)|, the slope of a beam's capacity at its
+    own focus.
+
+    Subcarrier xi sees x = (xi - 1)*psi, so its term's slope in psi is its
+    slope in x times |xi - 1|.  The proof of
+    :func:`~beamsquint.capacity.capacity_slope_bound` bounds the slope in x
+    averaged over the band by L/(1 + b/2), L carrying the factor 1 + b/2
+    for the largest xi, so the bound is L*max|xi - 1|/(1 + b/2), about
+    L*(b/2)/(1 + b/2).
+    """
+    return (capacity_slope_bound(band, arr) * _max_offset_ratio(band)
+            / (1.0 + band.b / 2.0))
+
+
+def _proved_infeasible(psi_m: float, c_t: float, band: BandConfig,
+                       arr: ArrayConfig) -> bool:
+    """True when both parities' chains are proved to fail, without a chain
+    solve; False when no proof is found in ``_PROOF_POINTS`` capacity
+    evaluations, and then the chains decide.
+
+    Every chain beam is at most bw = ``beamwidth_nbs(c_t)`` wide: a focus
+    solve brackets its root in [l, l + bw/2] and an edge solve in [f, f +
+    bw/2].  A chain grows from a left edge l_1 in [0, bw/2] (0 for the
+    even parity, the odd centre beam's right edge) while its right edge is
+    below psi_m, so its last left edge l_K lies in [psi_m - bw, psi_m),
+    widened below by 1e-15 for the two roundings of l + bw/2 and f + bw/2
+    (values below 3, each off by at most 2.2e-16), and not below 0.  When
+    the odd centre beam alone reaches psi_m, psi_m <= bw/2 and its focus 0
+    stands for l_K; the interval then holds 0.  A chain that gets as far
+    as l_K solves the focus from l_K, which evaluates C(l_K, l_K) - c_t
+    unless |l_K| is within :func:`_certified_reach`, where C(psi, psi) >=
+    c_t is proved, and raises InfeasibleError when it is negative.  So if
+    the computed C(psi, psi) < c_t at every psi of [lo, psi_m], both
+    parities fail: at l_K, or before it for another reason.  This encodes
+    the focus solve's present failure rule; a change to that solve must
+    change this proof with it.
+
+    The interval is halved as in :func:`_screen_runs`, one batched
+    capacity call per level.  A piece with computed midpoint m, and h the
+    larger distance from m to its ends, is proved when C(m, m) + S*h is
+    below c_t*(1 - ``_SCREEN_ALLOWANCE``) - 2E, with S from
+    :func:`_on_focus_slope_bound` and E from :func:`_on_focus_rounding`,
+    which holds off the main lobe too: the computed C(psi, psi) is then
+    at most the exact one plus E <= the exact C(m, m) + S*h + E <= the
+    computed C(m, m) + S*h + 2E < c_t.  The allowance covers the rounding
+    of the test itself, a few ulps of c_t.  (It alone exceeds 2E at
+    common settings, where 2E is 1.6e-12 of c_t for the paper's N=64
+    design, but not at every SNR, hence the 2E.)  A midpoint that reaches
+    that ceiling cannot be proved at any depth and ends the proof.
+
+    The checks of ``psi_m`` and of ``c_t`` come first, with the chains'
+    errors, except that a ``c_t`` at or above the peak, where
+    ``beamwidth_nbs`` raises InfeasibleError, is proved infeasible.
+    """
+    _require_psi_m(psi_m)
+    try:
+        bw = beamwidth_nbs(c_t, band, arr)
+    except InfeasibleError:
+        return True
+    slope = _on_focus_slope_bound(band, arr)
+    ceiling = c_t * (1.0 - _SCREEN_ALLOWANCE) - 2.0 * _on_focus_rounding(band, arr)
+    lo, hi = np.array([max(0.0, psi_m - bw - 1e-15)]), np.array([psi_m])
+    spent = 0
+    while len(lo):
+        spent += len(lo)
+        if spent > _PROOF_POINTS:
+            return False
+        mid = 0.5 * (lo + hi)
+        caps = capacity_bs(mid, mid, band, arr)
+        if np.any(caps >= ceiling):
+            return False
+        unproved = caps + slope * np.maximum(mid - lo, hi - mid) >= ceiling
+        lo, hi, mid = lo[unproved], hi[unproved], mid[unproved]
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+    return True
 
 
 def _codebook(parity: str, psi_m: float, c_t: float, band: BandConfig,
@@ -558,8 +655,11 @@ def estimate_bsup(arr: ArrayConfig, r: float, snr: float, psi_m: float = 1.0,
     chain and the other only when the first fails.  The first is the
     parity that succeeded on the last feasible probe, odd until one has:
     near the limit one parity often survives where the other fails, and
-    neighbouring probes tend to share it.  Every probe's verdict, and so
-    the result, is that of a full two-parity design.
+    neighbouring probes tend to share it.  Before either chain, a probe
+    tries to prove both infeasible from the capacity at a beam's own focus
+    alone, see :func:`_proved_infeasible`, and builds neither when it
+    can; near the limit that proof seldom holds.  Every probe's verdict,
+    and so the result, is that of a full two-parity design.
     """
     _require_tol_b(tol_b)
     first = "odd"
@@ -568,6 +668,8 @@ def estimate_bsup(arr: ArrayConfig, r: float, snr: float, psi_m: float = 1.0,
         nonlocal first
         band = BandConfig(b=b, n_f=n_f, snr=snr)
         c_t = capacity_threshold(r, band, arr)
+        if _proved_infeasible(psi_m, c_t, band, arr):
+            return False
         for outcome in _parities(psi_m, c_t, band, arr, first):
             if isinstance(outcome, Codebook):
                 first = outcome.parity
@@ -598,16 +700,19 @@ def fit_bsup_constant(n_values: Sequence[int], r: float, snr: float,
     """Fit the inverse law bandwidth-limit ~ a/N across array sizes.
 
     Least squares on bsup(N)*N reduces to its mean; the per-N absolute
-    deviations from ``a`` quantify how well the inverse law holds.
+    deviations from ``a`` quantify how well the inverse law holds.  Every
+    size is checked before any is estimated, and a repeated size is
+    estimated once but weighs in the fit as often as it is listed.
     """
     ns = list(n_values)
     if len(set(ns)) < 3:
         raise ConfigError(f"need at least 3 distinct array sizes, got {ns}")
-    bsup = [estimate_bsup(ArrayConfig(n), r, snr, psi_m, tol_b, n_f) for n in ns]
-    a, dev = _inverse_law(ns, bsup)
+    arrays = {n: ArrayConfig(n) for n in ns}
+    bsup_by_n = {n: estimate_bsup(arr, r, snr, psi_m, tol_b, n_f)
+                 for n, arr in arrays.items()}
+    a, dev = _inverse_law(ns, [bsup_by_n[n] for n in ns])
     return BsupFit(a=a, mean_deviation=float(np.mean(dev)),
-                   max_deviation=float(np.max(dev)),
-                   bsup_by_n={n: v for n, v in zip(ns, bsup)})
+                   max_deviation=float(np.max(dev)), bsup_by_n=bsup_by_n)
 
 
 def _inverse_law(ns: Sequence[int], bsup: Sequence[float]) -> tuple[float, np.ndarray]:

@@ -21,8 +21,8 @@ from .array_model import ArrayConfig, gain_mag
 from .capacity import (R_3DB, BandConfig, _require_region_ratio, _require_visible,
                        capacity_bs, capacity_nbs, capacity_threshold,
                        spectral_efficiency_bs, squint_safe_range)
-from .codebook import (_focus_grid, _inverse_law, _require_psi_m, _require_tol_b,
-                       assess_feasibility, estimate_bsup, improvement_max,
+from .codebook import (_focus_grid, _inverse_law, _proved_infeasible, _require_psi_m,
+                       _require_tol_b, assess_feasibility, estimate_bsup, improvement_max,
                        improvement_ratio)
 from .errors import ConfigError
 
@@ -190,7 +190,10 @@ def sweep_codebook_size_vs_n(b_values: Sequence[float] | None = None,
 
     Defaults cover array sizes 8..128 at the four standard mmWave band
     ratios.  Infeasible combinations are marked with ``INFEASIBLE_MARKER``
-    so the table stays numeric.
+    so the table stays numeric.  A combination well past the bandwidth
+    limit is proved infeasible from the capacity at a beam's own focus
+    before any chain is built, see :func:`~beamsquint.codebook._proved_infeasible`;
+    the others are designed in full.
     """
     if b_values is None:
         b_values = (0.0179, 0.0342, 0.0417, 0.0714)
@@ -209,9 +212,12 @@ def sweep_codebook_size_vs_n(b_values: Sequence[float] | None = None,
         row = [float(n)]
         for band in bands:
             c_t = capacity_threshold(r, band, arr)
-            report = assess_feasibility(psi_m, c_t, band, arr)
-            row.append(float(report.size_if_feasible) if report.feasible
-                       else INFEASIBLE_MARKER)
+            size = INFEASIBLE_MARKER
+            if not _proved_infeasible(psi_m, c_t, band, arr):
+                report = assess_feasibility(psi_m, c_t, band, arr)
+                if report.feasible:
+                    size = float(report.size_if_feasible)
+            row.append(size)
         return tuple(row)
 
     rows = [row_for(n) for n in ns]

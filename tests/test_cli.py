@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamsquint import (ArrayConfig, BandConfig, InfeasibleError, assess_feasibility,
-                        capacity_threshold, cli, design_codebook, rerun, serialize)
+                        capacity_threshold, cli, codebook, design_codebook, experiments,
+                        rerun, serialize)
 from beamsquint.capacity import R_3DB
 
 ABSTRACT_DESIGN = [
@@ -286,11 +287,42 @@ class TestConfigErrors:
         (["sweep", "--kind", "codebook-size-vs-n", "--n-list", "64,1", "--b-list", "0.01"],
          "--n-list"),
         (["verify", "--fact3-n-list", "1"], "--fact3-n-list"),
-    ], ids=["codebook-size-vs-n", "verify"])
-    def test_sizes_are_checked_before_any_point(self, argv, flag, capsys):
+        (["bsup", "--n-list", "64,1,2", "--snr-db", "0"], "--n-list"),
+    ], ids=["codebook-size-vs-n", "verify", "bsup"])
+    def test_sizes_are_checked_before_any_point(self, argv, flag, capsys, monkeypatch):
+        def no_point(*args):
+            raise AssertionError("a point was evaluated")
+
+        monkeypatch.setattr(codebook, "capacity_bs", no_point)
+        monkeypatch.setattr(experiments, "capacity_bs", no_point)
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {flag}: ")
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--psi-m", "0"], "psi_m must be in (0, 1], got 0.0"),
+        (["--psi-m", "1.5"], "psi_m must be in (0, 1], got 1.5"),
+        (["--psi-m", "nan"], "psi_m must be in (0, 1], got nan"),
+    ], ids=["psi_m-zero", "psi_m-above-1", "psi_m-nan"])
+    @pytest.mark.parametrize("argv", [
+        ["bsup", "--antennas", "16", "--snr-db", "0", "--tol-b", "1e-3"],
+        ["sweep", "--kind", "codebook-size-vs-n", "--n-list", "8,64", "--b-list",
+         "0.03,0.1", "--snr-db", "0", "--subcarriers", "256"],
+    ], ids=["bsup", "sweep"])
+    def test_bad_psi_m_exits_2(self, argv, extra, message, capsys):
+        assert run_cli(argv + extra, capsys) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bsup", "--antennas", "16", "--snr-db", "0", "--tol-b", "1e-3"],
+         "threshold 0.2141248053528476 maps to gain ratio 0.1000 below 0.25; "
+         "only main-lobe beamwidths are modelled"),
+        (["sweep", "--kind", "codebook-size-vs-n", "--n-list", "8,64", "--b-list",
+          "0.03,0.1", "--snr-db", "0", "--subcarriers", "256"],
+         "r=0.1 is below 0.25; sidelobes would qualify and only the main lobe is "
+         "modelled"),
+    ], ids=["bsup", "sweep"])
+    def test_gain_ratio_below_the_main_lobe_exits_2(self, argv, message, capsys):
+        assert run_cli(argv + ["--r", "0.1"], capsys) == (2, "", f"error: {message}\n")
 
     def test_bad_fractional_bandwidth_names_flag(self, capsys):
         code, _, err = run_cli(
@@ -348,6 +380,19 @@ class TestOtherCommands:
              "--b-list", "0.02", "--snr-db", "0", "--subcarriers", "256"], capsys)
         assert code == 0
         assert out.startswith("n_antennas[count],size_b0.02[count]\n")
+
+    def test_sweep_codebook_size_past_the_limit_bytes(self, capsys):
+        # b = 0.057 is past b_sup at both sizes, where the sweep proves the
+        # cells infeasible without building a chain; the bytes are those of
+        # a full two-parity design of every cell.
+        code, out, err = run_cli(
+            ["sweep", "--kind", "codebook-size-vs-n", "--n-list", "56,64", "--b-list",
+             "0.0342,0.057", "--snr-db", "0", "--subcarriers", "256"], capsys)
+        assert (code, err) == (0, "")
+        assert out == (
+            "n_antennas[count],size_b0.0342[count],size_b0.057[count]\n"
+            "5.6000000000000000e+01,7.0000000000000000e+01,-1.0000000000000000e+00\n"
+            "6.4000000000000000e+01,8.3000000000000000e+01,-1.0000000000000000e+00\n")
 
     def test_sweep_missing_selector(self, capsys):
         code, _, err = run_cli(

@@ -12,6 +12,7 @@ from beamsquint import (ArrayConfig, BandConfig, Beam, Codebook, ConfigError, Do
                         traditional_min_capacity)
 from beamsquint import codebook
 from beamsquint.codebook import _coverage_grid
+from beamsquint.experiments import sweep_codebook_size_vs_n
 
 from oracles import (both_parity_bsup, exhaustive_coverage_check,
                      long_double_on_focus_capacity, ref_halfwidth,
@@ -672,3 +673,125 @@ class TestOnFocusCertificate:
         with_it = raised()
         without_certificate(monkeypatch)
         assert raised() == with_it
+
+
+class TestInfeasibilityProof:
+    """``_proved_infeasible`` proves from C(psi, psi) alone that both
+    parities' chains fail, so the size sweep and the b_sup probes skip
+    them."""
+
+    def test_proved_cells_fail_both_parities(self):
+        # A fast corpus across the infeasible side: wherever the proof
+        # holds, both chains end in InfeasibleError.
+        proved = 0
+        for n in (8, 16, 32, 64):
+            arr = ArrayConfig(n)
+            for bn in (2.5, 3.0, 3.5, 4.0, 5.0, 6.0):
+                for snr in (1.0, 10.0):
+                    band = band_for(bn / n, n_f=256, snr=snr)
+                    for r in (0.4, 0.5, SQRT2_OVER_2):
+                        c_t = threshold(band, arr, r)
+                        for psi_m in (0.5, 1.0):
+                            if not codebook._proved_infeasible(psi_m, c_t, band, arr):
+                                continue
+                            proved += 1
+                            outcomes = list(codebook._parities(psi_m, c_t, band, arr))
+                            assert all(isinstance(o, InfeasibleError) for o in outcomes), \
+                                (n, bn, snr, r, psi_m)
+        assert proved >= 40
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 64, 128])
+    @pytest.mark.parametrize("b", [0.03, 0.1, 0.5])
+    @pytest.mark.parametrize("hz", [False, True], ids=["dimensionless", "hz"])
+    def test_on_focus_slope_bound(self, n, b, hz):
+        # Finite differences of C(psi, psi) on [-1, 1], b*N from 0.06 to 64.
+        arr = ArrayConfig(n)
+        psis = np.linspace(-1.0, 1.0, 40_001)
+        for snr in (0.01, 1.0, 100.0):
+            band = BandConfig(b=b, n_f=8, snr=snr, bandwidth_hz=2.5e9 if hz else None)
+            caps = capacity_bs(psis, psis, band, arr)
+            ratio = np.max(np.abs(np.diff(caps)) / np.diff(psis))
+            bound = codebook._on_focus_slope_bound(band, arr)
+            assert ratio <= bound * (1.0 + 1e-6), (snr, ratio / bound)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("bn", [5.0, 6.0])
+    def test_on_focus_rounding_holds_off_the_main_lobe(self, n, bn):
+        # b*N > 4 puts the outer subcarriers' offsets past the main lobe
+        # well before endfire.
+        if np.finfo(np.longdouble).eps >= 1e-18:
+            pytest.skip("long double is no wider than double here")
+        arr = ArrayConfig(n)
+        for snr in (1.0, 10.0):
+            band = band_for(bn / n, snr=snr)
+            psi = np.linspace(0.0, 1.0, 51)
+            exact = long_double_on_focus_capacity(psi, band, n)
+            error = codebook._on_focus_rounding(band, arr)
+            assert np.all(np.abs(capacity_bs(psi, psi, band, arr) - exact) <= error)
+
+    def test_sweep_cell_past_the_limit_builds_no_chain(self, monkeypatch):
+        # N=64 at b*N = 3.65 and 0 dB, well past b_sup (about 2.98/64):
+        # proved within the point cap, and the sweep marks it with no
+        # chain solve.
+        arr, band = ArrayConfig(64), band_for(3.65 / 64)
+        points = []
+
+        def counting(psi_f, psi, *args):
+            points.append(np.size(psi))
+            return capacity_bs(psi_f, psi, *args)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a chain was built")
+
+        monkeypatch.setattr(codebook, "capacity_bs", counting)
+        monkeypatch.setattr(codebook, "solve_focus_from_left", no_solve)
+        monkeypatch.setattr(codebook, "solve_right_edge", no_solve)
+        assert codebook._proved_infeasible(1.0, threshold(band, arr), band, arr)
+        assert 0 < sum(points) <= codebook._PROOF_POINTS
+        sweep = sweep_codebook_size_vs_n([3.65 / 64], [64], snr=1.0)
+        assert sweep.rows == ((64.0, -1.0),)
+
+    def test_feasible_design_is_not_proved(self):
+        arr, band = ArrayConfig(64), band_for(2.5 / 73)
+        assert not codebook._proved_infeasible(1.0, threshold(band, arr), band, arr)
+
+    @pytest.mark.parametrize("psi_m, c_t", [
+        (1.0, math.log2(1.0 + 16)), (1.0, 100.0), (1.0, 0.0), (1.0, -1.0),
+        (1.0, math.nan), (0.0, 3.0), (1.5, 3.0), (math.nan, 3.0), (1.0, 0.1),
+    ], ids=["c_t-at-peak", "c_t-above-peak", "c_t-zero", "c_t-negative",
+            "c_t-nan", "psi_m-zero", "psi_m-above-1", "psi_m-nan", "c_t-below-main-lobe"])
+    def test_bad_inputs_raise_as_the_chains_do(self, psi_m, c_t):
+        # Checked in the chains' order with their errors; a threshold at
+        # or above the peak, where the chains fail, is proved infeasible.
+        arr, band = ArrayConfig(16), band_for(0.01, n_f=64)
+        with pytest.raises((InfeasibleError, DomainError, ConfigError)) as err:
+            design_codebook(psi_m, c_t, band, arr)
+        if isinstance(err.value, InfeasibleError):
+            assert codebook._proved_infeasible(psi_m, c_t, band, arr)
+            return
+        with pytest.raises(type(err.value)) as proof_err:
+            codebook._proved_infeasible(psi_m, c_t, band, arr)
+        assert str(proof_err.value) == str(err.value)
+
+    def test_fit_estimates_each_size_once(self, monkeypatch):
+        # A repeated size is estimated once and weighs in the fit as often
+        # as it is listed.
+        seen = []
+
+        def fake(arr, *args):
+            seen.append(arr.n_antennas)
+            return 3.0 / arr.n_antennas + 1e-3
+
+        monkeypatch.setattr(codebook, "estimate_bsup", fake)
+        fit = fit_bsup_constant([16, 32, 16, 64], SQRT2_OVER_2, snr=1.0)
+        assert seen == [16, 32, 64]
+        assert fit.a == float(np.mean([n * fake(ArrayConfig(n)) for n in (16, 32, 16, 64)]))
+        assert list(fit.bsup_by_n) == [16, 32, 64]
+
+    def test_fit_checks_every_size_before_estimating(self, monkeypatch):
+        def no_probe(*args):
+            raise AssertionError("estimate_bsup ran")
+
+        monkeypatch.setattr(codebook, "estimate_bsup", no_probe)
+        with pytest.raises(ConfigError):
+            fit_bsup_constant([64, 1, 2], SQRT2_OVER_2, snr=1.0)
