@@ -11,8 +11,6 @@ the band carries an absolute bandwidth and per unit bandwidth otherwise.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -115,11 +113,10 @@ def capacity_bs(psi_f: ArrayLike, psi: ArrayLike, band: BandConfig,
     so each angle may carry its own focus; two scalars give a float and
     anything else an array of the broadcast shape.  The array path works
     in blocks of about 2**16 angle-subcarrier pairs, which keeps each
-    block in cache, and spreads the blocks over up to one thread per core
-    in the process's CPU affinity mask; every entry is bit-identical to
-    the scalar call at that angle and focus.  Both paths compute the
-    rate sum in place, in two buffers of the call's size besides the
-    squinted angles, with the same bits as the plain expression
+    block in cache; every entry is bit-identical to the scalar call at
+    that angle and focus.  Both paths compute the rate sum in place, in
+    two buffers of the call's size besides the squinted angles, with the
+    same bits as the plain expression
     B/n_f * sum(log2(1 + snr*gain_mag(x)**2)).
     At zero fractional bandwidth the subcarrier grid collapses and this is
     exactly :func:`capacity_nbs`.
@@ -151,33 +148,15 @@ def _rate_sum(x: np.ndarray, band: BandConfig, arr: ArrayConfig) -> np.ndarray:
 
 def _capacity_rows(pf: np.ndarray, ps: np.ndarray, band: BandConfig,
                    arr: ArrayConfig) -> np.ndarray:
-    """Squinted capacity at each (pf[i], ps[i]), block by block; with more
-    than one block and one usable core the blocks run on a thread pool,
-    each writing its own slice of the result."""
+    """Squinted capacity at each (pf[i], ps[i]), block by block, each
+    block written into its own slice of the result."""
     rows = max(1, _BLOCK_ELEMENTS // band.n_f)
-    blocks = [slice(i, i + rows) for i in range(0, len(ps), rows)]
     out = np.empty(len(ps))
-
-    def block(s: slice) -> None:
+    for i in range(0, len(ps), rows):
+        s = slice(i, i + rows)
         x = np.multiply(band.ratios, ps[s, np.newaxis])
         out[s] = _rate_sum(np.subtract(x, pf[s, np.newaxis], out=x), band, arr)
-
-    workers = min(len(blocks), _usable_cores())
-    if workers <= 1:
-        for s in blocks:
-            block(s)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(block, blocks))  # raises the first block's exception
     return out
-
-
-def _usable_cores() -> int:
-    """Cores in this process's CPU affinity mask."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
 
 
 def capacity_slope_bound(band: BandConfig, arr: ArrayConfig) -> float:

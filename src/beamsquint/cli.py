@@ -43,14 +43,8 @@ def _band_from_args(args: argparse.Namespace) -> BandConfig:
     if has_frac and has_hz:
         raise ConfigError(
             "--frac-bandwidth is mutually exclusive with --bandwidth-hz/--carrier-hz")
-    if args.subcarriers < 2 or args.subcarriers % 2:
-        raise ConfigError(
-            f"--subcarriers must be an even integer >= 2, got {args.subcarriers}")
     snr = _snr_linear(args.snr_db)
     if has_frac:
-        if not 0.0 <= args.frac_bandwidth < 2.0:
-            raise ConfigError(
-                f"--frac-bandwidth must be in [0, 2), got {args.frac_bandwidth}")
         return BandConfig(b=args.frac_bandwidth, n_f=args.subcarriers, snr=snr)
     if args.bandwidth_hz is None or args.carrier_hz is None:
         raise ConfigError(
@@ -241,7 +235,7 @@ _POINT = [("--antennas", _REQUIRED), "--frac-bandwidth", "--bandwidth-hz",
           "--carrier-hz", "--subcarriers", ("--snr-db", _REQUIRED)]
 
 # Subcommand -> (help, parser defaults, flags).  A flag is its name or a
-# (name, overrides) pair; a list of names is a mutually exclusive group.
+# (name, overrides) pair; a list of flags is a mutually exclusive group.
 # Every subcommand also takes --format and --out.
 _SUBCOMMANDS = {
     "gain": ("sample the array gain pattern", {"kind": "gain-pattern"},
@@ -256,8 +250,8 @@ _SUBCOMMANDS = {
         _POINT + ["--r", ("--psi-f", {
             "help": "evaluate at this focus; omit for the maximum over foci"})]),
     "bsup": ("largest workable fractional bandwidth", {"run": _cmd_bsup},
-             ["--antennas",
-              ("--n-list", {"help": "comma-separated array sizes; fits the a/N constant"}),
+             [["--antennas",
+               ("--n-list", {"help": "comma-separated array sizes; fits the a/N constant"})],
               "--r", ("--snr-db", _REQUIRED), "--psi-m", ("--tol-b", {"default": 1e-6}),
               "--subcarriers"]),
     "sweep": ("run a labelled parameter sweep", {},
@@ -284,13 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(**{"run": _cmd_sweep, **defaults})
         for flag in flags + ["--format", "--out"]:
-            if isinstance(flag, list):
-                group = p.add_mutually_exclusive_group()
-                for option in flag:
-                    group.add_argument(option, **_FLAGS[option])
-            else:
-                option, overrides = (flag, {}) if isinstance(flag, str) else flag
-                p.add_argument(option, **{**_FLAGS[option], **overrides})
+            group, options = ((p.add_mutually_exclusive_group(), flag)
+                              if isinstance(flag, list) else (p, [flag]))
+            for option in options:
+                name, overrides = (option, {}) if isinstance(option, str) else option
+                group.add_argument(name, **{**_FLAGS[name], **overrides})
     return parser
 
 

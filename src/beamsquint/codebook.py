@@ -34,10 +34,9 @@ needs neither; :func:`design_codebook` still builds both, to name where
 each fails.  The largest workable bandwidth is itself located by
 bisection on feasibility.
 
-Synthesis is sequential per codebook; distinct designs share no mutable
-state and may run concurrently.  Only the batched capacity calls of
-:func:`coverage_check` use more than one core, through
-:func:`~beamsquint.capacity.capacity_bs`.
+Synthesis is sequential per codebook and runs on the calling thread, as
+does every check; distinct designs share no mutable state and may run
+concurrently.
 """
 
 from __future__ import annotations
@@ -74,8 +73,12 @@ _COVERAGE_RTOL = 1e-6
 _DIRECT_POINTS = 4
 
 # Relative allowance (of c_t) by which the screen's proof must clear the
-# floor: far above the rounding error of one capacity evaluation, so a run
-# proved by the slope bound also passes when evaluated point by point.
+# floor.  Where it exceeds twice the rounding error of one capacity
+# evaluation (2E of _on_focus_rounding is 1.6e-12 of c_t for the paper's
+# N=64 design), a run proved by the slope bound also passes when evaluated
+# point by point.  2E grows as the SNR falls (at b = 0.05: 4.6e-10 of c_t
+# at N=128, -60 dB; 3.1e-9 at N=1024, -60 dB; 3.8e-8 at N=128, -80 dB), so
+# at low SNR that is not proved.
 _SCREEN_ALLOWANCE = 1e-9
 
 # Capacity evaluations _proved_infeasible may spend before it leaves a
@@ -539,10 +542,12 @@ def coverage_check(cb: Codebook, band: BandConfig, arr: ArrayConfig,
     half-width, still meets the floor; runs that cannot be proved are
     halved, and runs of at most ``_DIRECT_POINTS`` points are evaluated
     point by point.  A point passes only where the floor is proved or
-    computed, so the verdict equals a point-by-point check.  The points
-    that fail are tested against every beam, up to ``_FALLBACK_POINTS``
-    points per call, and the first point that no beam covers ends the
-    check.  The check depends only on the codebook and the model, never
+    computed, so the verdict equals a point-by-point check wherever
+    ``_SCREEN_ALLOWANCE`` exceeds twice the rounding error of one
+    evaluation; at low SNR (-60 dB and below at large N) that equality is
+    not proved.  The points that fail are tested against every beam, up
+    to ``_FALLBACK_POINTS`` points per call, and the first point that no
+    beam covers ends the check.  The check depends only on the codebook and the model, never
     on a solver tolerance.
     """
     grid = _coverage_grid(cb.psi_m, grid_step)

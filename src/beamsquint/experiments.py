@@ -5,8 +5,6 @@ all inputs (including any RNG seed), so :func:`rerun` can reproduce the
 rows bit for bit.  Sweep points are evaluated one after another, in
 parameter order, on the calling thread: each is Python root-solver steps
 around small capacity calls, so threads would only contend for the GIL.
-Only the large capacity evaluations inside a point are split over the
-cores, see :func:`~beamsquint.capacity.capacity_bs`.
 """
 
 from __future__ import annotations

@@ -1,7 +1,5 @@
 import gc
 import math
-import os
-import sys
 import threading
 import tracemalloc
 from pathlib import Path
@@ -16,8 +14,7 @@ from beamsquint import (ArrayConfig, BandConfig, ConfigError, DomainError,
                         capacity_threshold, capacity_threshold_3db, gain_region,
                         spectral_efficiency_bs, squint_safe_range)
 from beamsquint import capacity
-from beamsquint.capacity import (MIN_REGION_R, _capacity_rows, _usable_cores,
-                                 capacity_slope_bound)
+from beamsquint.capacity import MIN_REGION_R, _capacity_rows, capacity_slope_bound
 
 from oracles import ref_capacity_bs, ref_halfwidth
 
@@ -145,50 +142,11 @@ class TestCapacityBs:
             assert grid.shape == (3, 2)
             assert grid[2, 1] == fn(0.4, 0.3, band, arr16)
 
-    def test_block_pool_is_exact_under_thread_stress(self, arr64, monkeypatch):
-        # More threads than cores and a tiny switch interval: each block
-        # must still land in its own slice of the result.
-        band = BandConfig(b=0.05, n_f=2048, snr=1.0)
-        psis = np.linspace(-1.0, 1.0, 16 * 32 + 5)
-        foci = np.linspace(0.5, -0.5, len(psis))
-        monkeypatch.setattr(capacity, "_usable_cores", lambda: 1)
-        serial = _capacity_rows(foci, psis, band, arr64)
-        threads = _usable_cores() + 6
-        monkeypatch.setattr(capacity, "_usable_cores", lambda: threads)
-        pools = []
-        real_pool = capacity.ThreadPoolExecutor
-
-        def pool(max_workers):
-            pools.append(max_workers)
-            return real_pool(max_workers=max_workers)
-
-        monkeypatch.setattr(capacity, "ThreadPoolExecutor", pool)
-        results = []
-
-        def stress():
-            for _ in range(3):
-                results.append(_capacity_rows(foci, psis, band, arr64))
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            worker = threading.Thread(target=stress)
-            worker.start()
-            worker.join(timeout=120)
-            assert not worker.is_alive()
-        finally:
-            sys.setswitchinterval(old)
-        assert len(results) == 3
-        assert pools == [min(17, threads)] * 3  # 17 blocks of 32 angles
-        for threaded in results:
-            assert np.array_equal(threaded, serial)
-
-    @pytest.mark.parametrize("cores", [1, 3])
     @pytest.mark.parametrize("count, sizes", [
         pytest.param(count, sizes, id=f"{count}-angles") for count, sizes in (
             (0, []), (1, [1]), (2, [2]), (3, [3]), (4, [3, 1]), (6, [3, 3]),
             (7, [3, 3, 1]))])
-    def test_blocks_tile_the_angles(self, arr16, monkeypatch, cores, count, sizes):
+    def test_blocks_tile_the_angles(self, arr16, monkeypatch, count, sizes):
         # Three angles per block: at, around and past the block edges.
         band = BandConfig(b=0.05, n_f=64, snr=1.0)
         psis = np.linspace(-1.0, 1.0, count)
@@ -196,7 +154,6 @@ class TestCapacityBs:
         scalar = [capacity_bs(float(f), float(p), band, arr16)
                   for f, p in zip(foci, psis)]
         monkeypatch.setattr(capacity, "_BLOCK_ELEMENTS", 3 * 64)
-        monkeypatch.setattr(capacity, "_usable_cores", lambda: cores)
         rate_sum, seen = capacity._rate_sum, []
 
         def recording(x, band, arr):
@@ -205,17 +162,35 @@ class TestCapacityBs:
 
         monkeypatch.setattr(capacity, "_rate_sum", recording)
         assert _capacity_rows(foci, psis, band, arr16).tolist() == scalar
-        assert sorted(seen, reverse=True) == sizes
+        assert seen == sizes
 
-    @pytest.mark.parametrize("cores", [1, 3])
-    def test_first_failing_block_raises(self, arr16, monkeypatch, cores):
-        # Blocks 1 and 2 of 3 fail; block 1's exception propagates, however
-        # the threads are scheduled.
+    @pytest.mark.parametrize("count", [0, 1, 31, 32, 33, 64, 65, 16 * 32 + 5])
+    def test_blocks_run_on_the_calling_thread(self, arr16, monkeypatch, count):
+        # 2048 subcarriers give 32 angles per block; the last block is partial.
+        band = BandConfig(b=0.05, n_f=2048, snr=1.0)
+        psis = np.linspace(-1.0, 1.0, count)
+        scalar = [capacity_bs(0.3, float(p), band, arr16) for p in psis]
+        rate_sum, seen = capacity._rate_sum, []
+
+        def recording(x, band, arr):
+            seen.append(len(x))
+            return rate_sum(x, band, arr)
+
+        def refuse(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(capacity, "_rate_sum", recording)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert _capacity_rows(np.full(count, 0.3), psis, band, arr16).tolist() == scalar
+        full, rest = divmod(count, 32)
+        assert seen == [32] * full + ([rest] if rest else [])
+
+    def test_first_failing_block_raises(self, arr16, monkeypatch):
+        # Blocks 1 and 2 of 3 fail; block 1's exception propagates.
         band = BandConfig(b=0.05, n_f=64, snr=1.0)
         psis, foci = np.linspace(-1.0, 1.0, 7), np.zeros(7)
         block_of = {band.ratios[0] * psis[i] - foci[i]: i // 3 for i in range(0, 7, 3)}
         monkeypatch.setattr(capacity, "_BLOCK_ELEMENTS", 3 * 64)
-        monkeypatch.setattr(capacity, "_usable_cores", lambda: cores)
         rate_sum = capacity._rate_sum
 
         def failing(x, band, arr):
@@ -228,42 +203,6 @@ class TestCapacityBs:
         with pytest.raises(ValueError) as exc:
             _capacity_rows(foci, psis, band, arr16)
         assert exc.value.args == (1,)
-
-    @pytest.mark.parametrize("cores, blocks, workers", [
-        (1, 0, None), (1, 1, None), (1, 6, None), (4, 0, None), (4, 1, None),
-        (2, 6, 2), (4, 2, 2), (4, 6, 4), (8, 6, 6)])
-    def test_pool_size_is_min_of_blocks_and_cores(self, arr16, monkeypatch,
-                                                  cores, blocks, workers):
-        # 2048 subcarriers give 32 angles per block; the last block is partial.
-        band = BandConfig(b=0.05, n_f=2048, snr=1.0)
-        psis = np.linspace(-1.0, 1.0, max(0, 32 * blocks - 5))
-        scalar = [capacity_bs(0.3, float(p), band, arr16) for p in psis]
-        monkeypatch.setattr(capacity, "_usable_cores", lambda: cores)
-        pools = []
-        real_pool = capacity.ThreadPoolExecutor
-
-        def pool(max_workers):
-            if workers is None:
-                raise AssertionError("a thread pool started")
-            pools.append(max_workers)
-            return real_pool(max_workers=max_workers)
-
-        monkeypatch.setattr(capacity, "ThreadPoolExecutor", pool)
-        before = threading.active_count()
-        assert _capacity_rows(np.full(len(psis), 0.3), psis, band, arr16).tolist() == scalar
-        assert pools == ([] if workers is None else [workers])
-        if workers is None:
-            assert threading.active_count() == before
-
-    def test_usable_cores(self, monkeypatch):
-        assert _usable_cores() >= 1
-        if hasattr(os, "sched_getaffinity"):
-            assert _usable_cores() == len(os.sched_getaffinity(0))
-            monkeypatch.delattr(os, "sched_getaffinity")
-        monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        assert _usable_cores() == 5
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _usable_cores() == 1
 
     def test_reflection_invariance_is_exact(self, arr64):
         band = BandConfig(b=0.03, n_f=512, snr=1.0)

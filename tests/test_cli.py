@@ -179,13 +179,48 @@ class TestConfigErrors:
         assert code == 2
         assert "--antennas" in err
 
-    def test_odd_subcarriers_names_flag(self, capsys):
-        code, _, err = run_cli(
-            ["capacity", "--antennas", "16", "--frac-bandwidth", "0.01",
-             "--psi-f", "0", "--psi", "0", "--snr-db", "0",
-             "--subcarriers", "63"], capsys)
-        assert code == 2
-        assert "--subcarriers" in err
+    @pytest.mark.parametrize("argv", [
+        ["capacity", "--antennas", "16", "--frac-bandwidth", "0.01",
+         "--psi-f", "0", "--psi", "0", "--snr-db", "0"],
+        ["design", "--antennas", "16", "--frac-bandwidth", "0.01", "--snr-db", "0"],
+        ["improvement", "--antennas", "16", "--frac-bandwidth", "0.01", "--snr-db", "0"],
+        ["bsup", "--antennas", "16", "--snr-db", "0"],
+        FOCUS_SWEEP,
+        ["verify", "--fact1-samples", "0", "--fact2-samples", "0", "--fact3-n-list", ""],
+    ], ids=["capacity", "design", "improvement", "bsup", "sweep", "verify"])
+    def test_odd_subcarriers_give_one_message(self, argv, capsys):
+        # The band's inputs are checked once, by the library, whichever
+        # subcommand builds the band.
+        code, out, err = run_cli(argv + ["--subcarriers", "63"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: n_f must be an even integer >= 2, got 63\n"
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--antennas", "1", "--n-list", "8,16,32"], "--n-list: not allowed with argument --antennas"),
+        (["--n-list", "8,16,32", "--antennas", "1"], "--antennas: not allowed with argument --n-list"),
+        (["--antennas", "8", "--n-list", "8"], "--n-list: not allowed with argument --antennas"),
+    ], ids=["bad-antennas-first", "n-list-first", "both-valid"])
+    def test_antennas_and_n_list_are_exclusive(self, capsys, monkeypatch, flags, named):
+        # Either order, valid or not: the parser exits 2 before any point.
+        def no_point(*args):
+            raise AssertionError("a point was evaluated")
+
+        monkeypatch.setattr(codebook, "capacity_bs", no_point)
+        code, out, err = run_cli(
+            ["bsup"] + flags + ["--snr-db", "0", "--tol-b", "0.01"], capsys)
+        assert (code, out) == (2, "")
+        assert f"argument {named}" in err
+
+    def test_bsup_needs_antennas_or_n_list(self, capsys):
+        code, out, err = run_cli(["bsup", "--snr-db", "0"], capsys)
+        assert (code, out, err) == (2, "", "error: provide --antennas or --n-list\n")
+
+    def test_bsup_help_shows_the_exclusive_pair(self, capsys):
+        code, out, err = run_cli(["bsup", "--help"], capsys)
+        assert (code, err) == (0, "")
+        text = " ".join(out.split())
+        assert "[--antennas ANTENNAS | --n-list N_LIST]" in text
+        assert "--n-list N_LIST comma-separated array sizes; fits the a/N constant" in text
 
     @pytest.mark.parametrize("argv", [
         ["capacity", "--antennas", "16", "--frac-bandwidth", "0.01",
@@ -324,12 +359,16 @@ class TestConfigErrors:
     def test_gain_ratio_below_the_main_lobe_exits_2(self, argv, message, capsys):
         assert run_cli(argv + ["--r", "0.1"], capsys) == (2, "", f"error: {message}\n")
 
-    def test_bad_fractional_bandwidth_names_flag(self, capsys):
-        code, _, err = run_cli(
-            ["capacity", "--antennas", "16", "--frac-bandwidth", "2.5",
-             "--psi-f", "0", "--psi", "0", "--snr-db", "0"], capsys)
-        assert code == 2
-        assert "--frac-bandwidth" in err
+    @pytest.mark.parametrize("argv", [
+        ["capacity", "--antennas", "16", "--psi-f", "0", "--psi", "0", "--snr-db", "0"],
+        ["design", "--antennas", "16", "--snr-db", "0"],
+        ["improvement", "--antennas", "16", "--snr-db", "0"],
+        ["sweep", "--kind", "improvement-vs-focus", "--n-list", "16"],
+    ], ids=["capacity", "design", "improvement", "sweep"])
+    def test_bad_fractional_bandwidth_gives_one_message(self, argv, capsys):
+        code, out, err = run_cli(argv + ["--frac-bandwidth", "2.5"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: fractional bandwidth must be in [0, 2), got 2.5\n"
 
 
 class TestOtherCommands:

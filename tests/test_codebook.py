@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -298,6 +299,23 @@ class TestCoverageCheck:
         arr = ArrayConfig(32)
         band = band_for(0.0342)
         cb = design_codebook(1.0, threshold(band, arr), band, arr)
+        assert coverage_check(cb, band, arr, grid_step=1e-3)
+
+    @pytest.mark.parametrize("n", [64, 32])
+    def test_no_thread_is_started(self, monkeypatch, n):
+        # Vector capacity calls run their blocks on the calling thread: 17
+        # blocks of 32 angles, and every batched call of the check on the
+        # paper's N = 64 book and on the N = 32 book of the same band.
+        def refuse(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        arr = ArrayConfig(n)
+        band = band_for(2.5 / 73)
+        psis = np.linspace(-1.0, 1.0, 16 * 32 + 5)
+        assert capacity_bs(0.2, psis, band, arr).tolist() == [
+            capacity_bs(0.2, float(p), band, arr) for p in psis]
+        cb = design_codebook(1.0, capacity_threshold_3db(band, arr), band, arr)
         assert coverage_check(cb, band, arr, grid_step=1e-3)
 
     def test_every_beam_is_necessary(self):
