@@ -15,9 +15,12 @@ Coverage edges and focus angles have no closed form; each is the root of a
 monotone capacity equation on a bracket of half the no-squint beamwidth and
 is found by the bracketed secant solver of :mod:`beamsquint.roots`, on the
 side of the root where the beam meets c_t exactly.  Each solve after a
-chain's first beam starts from a root predicted from the chain's own
-earlier beams, which narrows the bracket to about the prediction's error;
-nothing is carried from one chain to the next.  The capacity at a solve's
+chain's first beam starts from a root and a slope predicted from the
+chain's own earlier beams; a Newton step from the predicted root lands
+within the solver's tolerance on most solves of a long chain, which then
+take three capacity evaluations.  Nothing is carried from one chain to the
+next, so a parity's beams do not depend on which parity is built first.
+The capacity at a solve's
 bracket start, C(psi, psi) at a focus or at a left edge, is evaluated for
 its sign only where that sign is not proved: C(psi, psi) does not rise
 with |psi| while every subcarrier stays in the main lobe, so one
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -90,10 +93,13 @@ _PROOF_POINTS = 16
 # that an uncovered point ends the check early, many enough to batch.
 _FALLBACK_POINTS = 8
 
-# A chain solve's predicted bracket spreads this many times the error of
-# the previous prediction past the prediction, and at least _MIN_SPREAD.
+# Degrees of the polynomials in the beam index that extrapolate a chain's
+# roots and the slopes of its solves at them.
+_ORDER = 6
+_SLOPE_ORDER = 2
+# A chain solve's second probe lands this many times the expected error of
+# its Newton point past that point.
 _SPREAD_GAIN = 4.0
-_MIN_SPREAD = 1e-9
 # Error assumed, as a share of the offset, for the first prediction of a
 # chain, which repeats the first beam's offset.
 _FIRST_ERROR = 2.5e-3
@@ -161,21 +167,22 @@ class BsupFit:
 
 
 def solve_right_edge(psi_f: float, c_t: float, band: BandConfig,
-                     arr: ArrayConfig, *, guess: float | None = None,
-                     spread: float = 0.0, reach: float = -1.0) -> float:
+                     arr: ArrayConfig, *, track: _Track | None = None,
+                     reach: float = -1.0) -> float:
     """Right coverage edge of a beam focused on ``psi_f``.
 
     The squinted capacity decreases from its value at the focus through
     c_t somewhere inside half a no-squint beamwidth; the returned edge is
     the solver's end of that crossing where the capacity still meets c_t.
     With zero fractional bandwidth the edge sits exactly on the no-squint
-    bracket boundary.  A predicted edge ``guess`` and its ``spread`` are
-    passed on to :func:`~beamsquint.roots.bisect`; the edge meets the same
-    conditions with or without them.  ``reach`` is an angle such that the
-    capacity C(psi, psi) at a beam's own focus is proved to meet ``c_t``
-    for every |psi| <= reach, as :func:`_certified_reach` proves it; a
-    focus within it spares the solver that evaluation, and the default
-    proves nothing.  The edge is the same bits either way.
+    bracket boundary.  ``track``, a chain's record of its earlier edges
+    (see :class:`_Track`), predicts the edge and its slope for
+    :func:`~beamsquint.roots.bisect` and records this one; the edge meets
+    the same conditions with or without it.  ``reach`` is an angle such
+    that the capacity C(psi, psi) at a beam's own focus is proved to meet
+    ``c_t`` for every |psi| <= reach, as :func:`_certified_reach` proves
+    it; a focus within it spares the solver that evaluation, and the
+    default proves nothing.  The edge is the same bits either way.
 
     Raises
     ------
@@ -184,8 +191,8 @@ def solve_right_edge(psi_f: float, c_t: float, band: BandConfig,
         local signal that the fractional bandwidth is too large).
     """
     half = beamwidth_nbs(c_t, band, arr) / 2.0
-    edge = bisect(lambda psi: capacity_bs(psi_f, psi, band, arr) - c_t,
-                  psi_f, psi_f + half, guess, spread, good_proved=abs(psi_f) <= reach)
+    edge = _solve(lambda psi: capacity_bs(psi_f, psi, band, arr) - c_t,
+                  psi_f, half, track, reach)
     if edge is None:
         raise InfeasibleError(
             f"capacity at focus {psi_f} is below the threshold", psi_f)
@@ -193,16 +200,16 @@ def solve_right_edge(psi_f: float, c_t: float, band: BandConfig,
 
 
 def solve_focus_from_left(psi_l: float, c_t: float, band: BandConfig,
-                          arr: ArrayConfig, *, guess: float | None = None,
-                          spread: float = 0.0, reach: float = -1.0) -> float:
+                          arr: ArrayConfig, *, track: _Track | None = None,
+                          reach: float = -1.0) -> float:
     """Focus angle whose coverage starts exactly at ``psi_l``.
 
     As the focus moves right of ``psi_l`` the capacity delivered at
     ``psi_l`` falls; the focus is the point where it hits c_t, bracketed
     within half a no-squint beamwidth of ``psi_l``, taken on the side where
-    the capacity at ``psi_l`` still meets c_t.  ``guess``, ``spread`` and
-    ``reach`` are as in :func:`solve_right_edge`; the capacity a beam
-    focused on ``psi_l`` delivers there is C(psi_l, psi_l).
+    the capacity at ``psi_l`` still meets c_t.  ``track`` and ``reach``
+    are as in :func:`solve_right_edge`, ``track`` recording foci; the
+    capacity a beam focused on ``psi_l`` delivers there is C(psi_l, psi_l).
 
     Raises
     ------
@@ -211,43 +218,107 @@ def solve_focus_from_left(psi_l: float, c_t: float, band: BandConfig,
         there (no bracketed root exists).
     """
     half = beamwidth_nbs(c_t, band, arr) / 2.0
-    focus = bisect(lambda pf: capacity_bs(pf, psi_l, band, arr) - c_t,
-                   psi_l, psi_l + half, guess, spread, good_proved=abs(psi_l) <= reach)
+    focus = _solve(lambda pf: capacity_bs(pf, psi_l, band, arr) - c_t,
+                   psi_l, half, track, reach)
     if focus is None:
         raise InfeasibleError(
             f"no focus can deliver the threshold at left edge {psi_l}", psi_l)
     return focus
 
 
-class _Offsets:
-    """One offset along a chain (focus - left, or right - focus): the next
-    beam's value extrapolated from the last ones, and the spread of that
-    prediction from the error of the one before."""
+def _solve(f: Callable[[float], float], base: float, half: float,
+           track: _Track | None, reach: float) -> float | None:
+    """:func:`~beamsquint.roots.bisect` of ``f`` on [base, base + half],
+    with ``track``'s hints, recording the root on ``track``."""
+    if track is None:
+        return bisect(f, base, base + half, good_proved=abs(base) <= reach)
+    root = bisect(track.watch(f), base, base + half, *track.hint(base),
+                  good_proved=abs(base) <= reach)
+    if root is not None:
+        track.observe(base, root)
+    return root
+
+
+class _Track:
+    """One kind of root along a chain, a focus from its beam's left edge
+    or a right edge from its beam's focus, and the predictions of the next.
+
+    Each solve's final bracket gives the slope of its predicate, from the
+    bracket's two values, and its root, the secant point between them,
+    which unlike the bracket's quantised end is smooth along the chain.
+    The next root's offset from its base angle is extrapolated by the
+    polynomial through the last ``_ORDER + 1`` offsets, and its slope by
+    the one through the last ``_SLOPE_ORDER + 1`` slopes, each taken
+    against the beam index.  The spread is ``_SPREAD_GAIN`` times the
+    error expected of the Newton point: the larger of the last two
+    predictions' errors, times the larger of the last two Newton points'
+    errors as a share of their steps, so that a Newton miss widens the next
+    spreads.  Before a Newton point has been seen the share is 1, which
+    leaves the spread past the guess that a prediction alone would take.
+    """
 
     def __init__(self):
-        self.seen: list[float] = []
+        self.offsets: list[float] = []
+        self.slopes: list[float] = []
+        self.errors: list[float] = []  # of each prediction
+        self.shares: list[float] = []  # of each Newton point, per unit of its step
         self.guess: float | None = None
-        self.spread = 0.0
+        self.slope = math.nan  # the slope predicted with the guess
+        self.at_guess = math.nan  # the predicate's value at the guess
+        self.ends: dict[bool, tuple[float, float]] = {}
 
-    def predict(self, base: float) -> tuple[float | None, float]:
-        """``base`` plus the predicted offset (``None`` before the first
-        beam), and the spread."""
-        s = self.seen
-        if len(s) >= 3:
-            self.guess = 3.0 * (s[-1] - s[-2]) + s[-3]
-        elif len(s) == 2:
-            self.guess = 2.0 * s[-1] - s[-2]
-        elif s:
-            self.guess = s[-1]
-        return (None if self.guess is None else base + self.guess), self.spread
+    def hint(self, base: float) -> tuple[float | None, float, float]:
+        """The predicted root at ``base`` (``None`` before the first
+        root), the spread and the predicted slope."""
+        if not self.offsets:
+            return None, 0.0, math.nan
+        self.guess = base + _extrapolate(self.offsets, _ORDER)
+        self.slope = _extrapolate(self.slopes, _SLOPE_ORDER)
+        spread = (_SPREAD_GAIN * max(self.errors[-2:])
+                  * max(self.shares[-2:], default=1.0))
+        return self.guess, spread, self.slope
 
-    def observe(self, offset: float) -> None:
-        # Before the first prediction, a fixed share of the offset stands
-        # in for the error.
-        error = (_FIRST_ERROR * abs(offset) if self.guess is None
-                 else abs(offset - self.guess))
-        self.spread = max(_SPREAD_GAIN * error, _MIN_SPREAD)
-        self.seen = [*self.seen[-2:], offset]
+    def watch(self, f: Callable[[float], float]) -> Callable[[float], float]:
+        """``f``, recording its value at the guess and the last value on
+        each side of zero: a bracketing solver evaluates only inside its
+        bracket and moves the end of the value's sign, so these are the
+        final bracket's ends."""
+        self.ends = {}
+        self.at_guess = math.nan
+
+        def watched(x: float) -> float:
+            value = f(x)
+            self.ends[value >= 0.0] = (x, value)
+            if x == self.guess:
+                self.at_guess = value
+            return value
+        return watched
+
+    def observe(self, base: float, root: float) -> None:
+        """Record the root that the solve from ``base`` returned, with the
+        values seen by :meth:`watch`."""
+        slope = math.nan
+        if len(self.ends) == 2:
+            (xg, fg), (xb, fb) = self.ends[True], self.ends[False]
+            slope = (fb - fg) / (xb - xg)
+            root = xg - fg / slope
+        if self.guess is None:
+            self.errors.append(_FIRST_ERROR * abs(root - base))
+        else:
+            self.errors.append(abs(self.guess - root))
+            step = self.at_guess / self.slope if self.slope else math.nan
+            if step and math.isfinite(step):
+                self.shares.append(abs(self.guess - step - root) / abs(step))
+        self.offsets.append(root - base)
+        self.slopes.append(slope)
+
+
+def _extrapolate(ys: Sequence[float], order: int) -> float:
+    """The next value of the sequence ``ys``, extrapolated by the polynomial
+    through its last ``order + 1`` values (or all of them, if fewer)."""
+    ys = ys[-order - 1:]
+    k = len(ys)
+    return sum((-1) ** (k - 1 - i) * math.comb(k, i) * y for i, y in enumerate(ys))
 
 
 def _grow_chain(start_right: float, psi_m: float, c_t: float, band: BandConfig,
@@ -255,30 +326,28 @@ def _grow_chain(start_right: float, psi_m: float, c_t: float, band: BandConfig,
     """Chain beams rightward from ``start_right`` until psi_m is covered.
 
     Beams change slowly along a chain, so each solve after the first beam
-    starts from a prediction: its offset (focus - left, or right - focus)
-    extrapolated quadratically from the chain's last three beams, or
-    linearly from two, with a spread of ``_SPREAD_GAIN`` times the previous
-    prediction's error.  The first beam's solves use the full bracket.
-    Every solve whose bracket starts within ``reach`` is spared the
-    capacity there, see :func:`solve_right_edge`.
+    starts from a root and a slope predicted by a :class:`_Track` of the
+    chain's own earlier foci or edges: the solver probes the predicted
+    root, then a point a spread past its Newton point, and then closes the
+    bracket from the secant points of its probes (see
+    :func:`~beamsquint.roots.bisect`).  The first beam's solves use the
+    full bracket.  The tracks start empty for every chain, so the beams of
+    a parity are the same bits whichever parity is built first, and an
+    :func:`estimate_bsup` probe's verdict is that of a full design.  Every
+    solve whose bracket starts within ``reach`` is spared the capacity
+    there, see :func:`solve_right_edge`.
     """
-    to_focus, to_edge = _Offsets(), _Offsets()
+    to_focus, to_edge = _Track(), _Track()
     out: list[Beam] = []
     right = start_right
     while right < psi_m:
         left = right
-        guess, spread = to_focus.predict(left)
-        focus = solve_focus_from_left(left, c_t, band, arr, guess=guess,
-                                      spread=spread, reach=reach)
-        guess, spread = to_edge.predict(focus)
-        edge = solve_right_edge(focus, c_t, band, arr, guess=guess,
-                                spread=spread, reach=reach)
+        focus = solve_focus_from_left(left, c_t, band, arr, track=to_focus, reach=reach)
+        edge = solve_right_edge(focus, c_t, band, arr, track=to_edge, reach=reach)
         if edge - left < _MIN_BEAM_WIDTH:
             raise InfeasibleError(
                 f"beam coverage collapsed below solver resolution at focus {focus}",
                 focus)
-        to_focus.observe(focus - left)
-        to_edge.observe(edge - focus)
         out.append(Beam(focus, left, edge))
         right = edge
         if len(out) > _MAX_BEAMS:

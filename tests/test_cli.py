@@ -117,8 +117,8 @@ class TestDesignCommand:
         arr = ArrayConfig(128)
         report = assess_feasibility(1.0, capacity_threshold(R_3DB, band, arr), band, arr)
         # The report names both sizes' failing foci too.
-        assert (report.failing_focus, report.even_focus) == (0.6786677104310394,
-                                                             0.6786836486584185)
+        assert (report.failing_focus, report.even_focus) == (0.678667710734465,
+                                                             0.6786836485771542)
         with pytest.raises(InfeasibleError) as exc:
             design_codebook(1.0, capacity_threshold(R_3DB, band, arr), band, arr)
         odd, even = exc.value.failing_focus, exc.value.even_focus

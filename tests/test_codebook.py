@@ -26,6 +26,24 @@ def band_for(b, n_f=2048, snr=1.0):
     return BandConfig(b=b, n_f=n_f, snr=snr)
 
 
+def design_counts(arr, band, monkeypatch):
+    """Size of the 3 dB design over [-1, 1], its root solves and its
+    capacity evaluations."""
+    counts = {"capacity": 0, "solves": 0}
+
+    def counting(key, fn):
+        def traced(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return traced
+
+    with monkeypatch.context() as m:
+        m.setattr(codebook, "capacity_bs", counting("capacity", capacity_bs))
+        m.setattr(codebook, "bisect", counting("solves", codebook.bisect))
+        cb = design_codebook(1.0, capacity_threshold_3db(band, arr), band, arr)
+    return cb.size, counts["solves"], counts["capacity"]
+
+
 def threshold(band, arr, r=SQRT2_OVER_2):
     return capacity_threshold(r, band, arr)
 
@@ -190,26 +208,28 @@ class TestDesignCodebook:
 
     def test_paper_design_solves_on_predicted_brackets(self, monkeypatch):
         # The paper's N=64 design, 2.5 GHz at 73 GHz and 0 dB: 169 solves
-        # over both chains.  Predicting each root from the chain's earlier
-        # beams, and proving the capacity at each bracket's start once per
-        # design, keeps them under 700 capacity evaluations; the full
-        # brackets took 1,306, and the predicted ones alone 852.
-        counts = {"capacity": 0, "solves": 0}
-
-        def counting(key, fn):
-            def traced(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
-            return traced
-
-        monkeypatch.setattr(codebook, "capacity_bs", counting("capacity", capacity_bs))
-        monkeypatch.setattr(codebook, "bisect", counting("solves", codebook.bisect))
+        # over both chains.  Predicting each root and its slope from the
+        # chain's earlier beams, probing the predicted root and a spread
+        # past its Newton point, and proving the capacity at each bracket's
+        # start once per design, takes 399 capacity evaluations; the full
+        # brackets took 1,306, predicted roots alone 852, and predicted
+        # roots with the proof 689.
         arr = ArrayConfig(64)
         band = BandConfig.from_hz(2.5e9, 73e9, n_f=2048, snr=1.0)
-        cb = design_codebook(1.0, capacity_threshold_3db(band, arr), band, arr)
-        assert cb.size == 84
-        assert counts["solves"] == 169
-        assert counts["capacity"] <= 700
+        size, solves, calls = design_counts(arr, band, monkeypatch)
+        assert (size, solves) == (84, 169)
+        assert calls <= 420
+
+    @pytest.mark.parametrize("n, bn, size, solves, budget", [
+        (128, 2.19, 167, 335, 760),  # 725; 1,352 without Newton probes
+        (16, 1.5, 19, 39, 186),      # 177; 209 without Newton probes
+    ])
+    def test_chain_designs_keep_their_call_budgets(self, n, bn, size, solves, budget,
+                                                   monkeypatch):
+        found_size, found_solves, calls = design_counts(ArrayConfig(n), band_for(bn / n),
+                                                        monkeypatch)
+        assert (found_size, found_solves) == (size, solves)
+        assert calls <= budget
 
     def test_odd_bookkeeping_counts_centre_plus_pairs(self):
         arr = ArrayConfig(16)
@@ -364,6 +384,19 @@ class TestCoverageCheck:
         assert np.all(np.diff(grid) > 0)
         inner = grid[np.abs(grid) < psi_m]
         assert np.array_equal(inner, np.rint(inner / step) * step)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: the chain solvers check a beam's capacity only at its "
+        "two solved edges, and at low gain ratios it dips below c_t between them"))
+    def test_low_gain_ratio_design_covers_its_range_or_is_infeasible(self):
+        # design --antennas 32 --frac-bandwidth 0.166221 --r 0.4 --snr-db 0
+        arr, band = ArrayConfig(32), band_for(0.166221)
+        c_t = threshold(band, arr, 0.4)
+        try:
+            cb = design_codebook(1.0, c_t, band, arr)
+        except InfeasibleError:
+            return
+        assert coverage_check(cb, band, arr, 1e-4)
 
 
 class TestCoverageScreen:
@@ -562,6 +595,24 @@ class TestBandwidthLimit:
             assert ("odd", True) in calls
             if n == 8:
                 assert "even" in firsts
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("bn", [1.0, 2.6])
+    def test_parities_do_not_depend_on_which_is_built_first(self, n, bn):
+        # Each chain predicts its roots from its own beams only, so a
+        # probe that builds the even parity first gets the same bits as a
+        # full design, which builds the odd one first.
+        arr, band = ArrayConfig(n), band_for(bn / n)
+        c_t = threshold(band, arr)
+
+        def bits(first):
+            books = {cb.parity: cb for cb in codebook._parities(1.0, c_t, band, arr, first)}
+            return {parity: [tuple(map(float.hex, (b.focus, b.left, b.right)))
+                             for b in cb.beams] for parity, cb in books.items()}
+
+        odd_first = bits("odd")
+        assert sorted(odd_first) == ["even", "odd"]
+        assert bits("even") == odd_first
 
     def test_paper_size_bsup_evaluations(self, monkeypatch):
         # N=64 at 0 dB to 1e-6: 14,950 capacity evaluations with predicted

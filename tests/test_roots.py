@@ -111,8 +111,9 @@ class TestPredictedBracket:
     @pytest.mark.parametrize("name", ["cosine", "steep-exponential"])
     @pytest.mark.parametrize("guess, spread", [(ROOT + 3e-7, 1e-6), (ROOT - 4e-9, 1e-8)])
     def test_root_inside_the_prediction_takes_five_calls(self, name, guess, spread):
-        # f(good), the two probes, and two secant steps inside the narrow
-        # bracket; the full bracket needs more.
+        # f(good), the guess, a spread past it, and two probes past the
+        # secant points inside that narrow bracket; the full bracket needs
+        # more.
         fn = SMOOTH[name]
         full, full_calls = counted(fn)
         bisect(full, 0.0, 1.0)
@@ -150,9 +151,10 @@ class TestProvedGoodEnd:
            rate=st.floats(1e-3, 1e3),
            guess=st.none() | st.floats(-0.5, 1.5),
            spread=st.floats(0.0, 0.5),
+           slope=st.none() | st.floats(allow_nan=True, allow_infinity=True),
            flipped=st.booleans())
     def test_a_proved_good_end_changes_no_bit(self, kind, root, rate, guess,
-                                              spread, flipped):
+                                              spread, slope, flipped):
         # With f(good) >= 0 known, the solver returns the same bits, and
         # evaluates f(good) only for a secant step: never once the first
         # probe has met the predicate and moved the good end.
@@ -160,13 +162,13 @@ class TestProvedGoodEnd:
         good, bad = (1.0, 0.0) if flipped else (0.0, 1.0)
         f = (lambda x: fn(1.0 - x)) if flipped else fn
         assume(f(good) >= 0.0)
-        plain = bisect(f, good, bad, guess, spread)
+        plain = bisect(f, good, bad, guess, spread, slope)
         points = []
 
         def traced(x):
             points.append(x)
             return f(x)
-        proved = bisect(traced, good, bad, guess, spread, good_proved=True)
+        proved = bisect(traced, good, bad, guess, spread, slope, good_proved=True)
         assert proved == plain and math.copysign(1.0, proved) == math.copysign(1.0, plain)
         if guess is not None and points and points[0] not in (good, bad) \
                 and f(points[0]) >= 0.0:
@@ -181,5 +183,91 @@ class TestProvedGoodEnd:
             points.append(x)
             return ROOT - x
         assert bisect(traced, 0.0, 1.0, ROOT - 1e-7, 1e-6, good_proved=True) == plain
-        # f(good), two probes and two secant steps, less f(good).
+        # f(good), the guess, a spread past it and two probes past the
+        # secant points, less f(good).
         assert (calls[0], len(points)) == (5, 4) and 0.0 not in points
+
+
+def slope_at(fn, x, h=1e-6):
+    """Central difference of ``fn`` at ``x``."""
+    return (fn(x + h) - fn(x - h)) / (2.0 * h)
+
+
+# Slope hints relative to the predicate's own slope at the root, and those
+# that carry no usable slope at all.
+SLOPE_HINTS = {
+    "exact": lambda s: s,
+    "10x-high": lambda s: 10.0 * s,
+    "10x-low": lambda s: 0.1 * s,
+    "wrong-sign": lambda s: -s,
+    "zero": lambda s: 0.0,
+    "nan": lambda s: math.nan,
+    "inf": lambda s: math.inf,
+    "-inf": lambda s: -math.inf,
+}
+# Guesses for the bracket [0, 1] around ROOT: near the root on either side,
+# on it, at either end, past either end, and far off.
+SLOPE_GUESSES = (ROOT - 3e-7, ROOT + 3e-7, ROOT, 0.0, 1.0, -5.0, 7.0, 1e-3, 0.999)
+
+
+class TestSlopeHint:
+    @pytest.mark.parametrize("name", sorted(SMOOTH))
+    @pytest.mark.parametrize("good, bad", [(0.0, 1.0), (1.0, 0.0)])
+    def test_any_slope_and_guess_close_a_tol_bracket_within_the_bound(self, name,
+                                                                      good, bad):
+        sign = 1.0 if good < bad else -1.0
+        flip = (lambda x: x) if sign > 0 else (lambda x: 1.0 - x)
+        fn = lambda x: SMOOTH[name](flip(x))  # noqa: E731
+        true_slope = slope_at(fn, flip(ROOT))
+        for hint_name, hint in SLOPE_HINTS.items():
+            for guess in SLOPE_GUESSES:
+                for spread in (0.0, 1e-6):
+                    seen = []
+
+                    def f(x):
+                        seen.append((x, fn(x)))
+                        return seen[-1][1]
+                    x = bisect(f, good, bad, flip(guess), spread, hint(true_slope))
+                    case = (hint_name, guess, spread)
+                    assert len(seen) <= math.ceil(math.log2(1.0 / TOL)) + SLACK + 2, case
+                    assert fn(x) >= 0.0, case
+                    # The final bracket: an evaluated point below zero within
+                    # TOL, up to the rounding of its ends when the bound is spent.
+                    assert any(v < 0.0 and abs(p - x) <= TOL + 1e-16 for p, v in seen), case
+                    assert abs(flip(x) - ROOT) <= TOL, case
+
+    @pytest.mark.parametrize("slope", [-1.0, 1.0, 0.0, math.nan, math.inf])
+    def test_no_root_and_boundary_root_returns_are_unchanged(self, slope):
+        for guess in (0.5, -1.0, 2.0, math.nan):
+            f, calls = counted(lambda x: -1.0)
+            assert bisect(f, 0.0, 1.0, guess, 0.1, slope) is None
+            assert calls[0] == 1
+            assert bisect(lambda x: 1.0, 3.0, 0.0, guess, 0.5, slope) == 0.0
+            assert bisect(lambda x: 1.0, 0.0, 3.0, guess, 1e-9, slope) == 3.0
+
+    @pytest.mark.parametrize("good, bad", [(0.0, 1.0), (1.0, 0.0)])
+    @pytest.mark.parametrize("offset", [3e-7, -3e-7, 2e-3, -2e-3])
+    def test_linear_predicate_with_an_exact_slope_closes_in_three_calls(self, good, bad,
+                                                                        offset):
+        # The guess, a spread past its Newton point, and a point on the
+        # other side of the secant point of the two; f(good) is proved.
+        sign = 1.0 if good < bad else -1.0
+        f, calls = counted(lambda x: sign * (ROOT - x))
+        x = bisect(f, good, bad, ROOT + offset, 0.0, -sign, good_proved=True)
+        assert calls[0] == 3
+        assert sign * (ROOT - x) >= 0.0 and abs(x - ROOT) <= TOL
+
+    def test_a_guess_within_tol_closes_in_two_calls(self):
+        f, calls = counted(lambda x: ROOT - x)
+        x = bisect(f, 0.0, 1.0, ROOT + 1e-11, 0.0, -1.0, good_proved=True)
+        assert calls[0] == 2 and ROOT - x >= 0.0 and abs(x - ROOT) <= TOL
+
+    @pytest.mark.parametrize("name", ["cosine", "steep-exponential"])
+    def test_a_slope_off_by_a_tenth_percent_closes_in_four_calls(self, name):
+        # The Newton point errs by about 3e-10, so the spread must cover it.
+        fn = SMOOTH[name]
+        f, calls = counted(fn)
+        x = bisect(f, 0.0, 1.0, ROOT + 3e-7, 1e-9, 1.001 * slope_at(fn, ROOT),
+                   good_proved=True)
+        assert calls[0] <= 4
+        assert fn(x) >= 0.0 and abs(x - ROOT) <= TOL
