@@ -180,6 +180,82 @@ def capacity_slope_bound(band: BandConfig, arr: ArrayConfig) -> float:
             * (1.0 + band.b / 2.0) / math.log(2.0))
 
 
+def _max_offset_ratio(band: BandConfig) -> float:
+    """max|xi - 1| over the band's stored ratios: the offset x = (xi -
+    1)*psi that a beam's own focus psi sees is at most this times |psi|."""
+    return max(float(band.ratios[-1]) - 1.0, 1.0 - float(band.ratios[0]))
+
+
+def _on_focus_slope_bound(band: BandConfig, arr: ArrayConfig) -> float:
+    """Bound on |d/dpsi C(psi, psi)|, the slope of a beam's capacity at its
+    own focus: subcarrier xi sees x = (xi - 1)*psi, so its term's slope in
+    psi is its slope in x times |xi - 1|.  The proof of
+    :func:`capacity_slope_bound` bounds the slope in x averaged over the
+    band by L/(1 + b/2), L carrying the factor 1 + b/2 for the largest xi,
+    so the bound is L*max|xi - 1|/(1 + b/2), about L*(b/2)/(1 + b/2)."""
+    return (capacity_slope_bound(band, arr) * _max_offset_ratio(band)
+            / (1.0 + band.b / 2.0))
+
+
+def _rounding_bound(band: BandConfig, arr: ArrayConfig) -> float:
+    """Bound E on the rounding error of ``capacity_bs(f, psi)``, against the
+    same sum taken exactly at the band's stored ratios xi, at every focus f
+    and |psi| <= 1 where each computed offset x = xi*psi - f has |x| <= 1
+    (at f = psi, |x| <= b/2 < 1).  With u = 2**-53, sin and log2 within 4
+    ulp, L from :func:`capacity_slope_bound` and P = B*log2(1 + N*snr):
+
+    * xi*psi, at most 1 + b/2, and x are each rounded once: x is within
+      3u*(1 + b/2) of exact, moving C by at most 3u*L (L carries 1 + b/2);
+    * both sine arguments are within 3u relative, the sines within 4 ulp and
+      the quotient within 9u relative, so G = |D_N(pi*x/2)|/sqrt(N) is
+      within 24u*sqrt(N) at |x| <= 1 (where |x| >= 1/N, the numerator's
+      absolute error of at most 3u*N*pi*|x|/2 + 4u over
+      sqrt(N)*sin(pi*|x|/2) >= sqrt(N)*|x|, and a relative error nearer
+      broadside); a term's slope in G is at most B/n_f*sqrt(snr)/ln 2, so C
+      moves by at most 24u*B*sqrt(N*snr)/ln 2 <= 16u*L, as L >=
+      (pi*N/4)*B*sqrt(N*snr)/ln 2;
+    * where |sin(pi*x/2)| < 1e-9, near 0 only, the gain is its limit
+      sqrt(N), a relative N^2*1e-18/6 off: C moves by <= 1e-18*B*N^2/2;
+    * squaring, scaling by snr, adding 1 and log2 move a term t by at most
+      u*(4.4 + 8*t), so C by at most 5u*B + 8u*P;
+    * a sum of n_f non-negative terms errs by at most 1.01*(n_f - 1)*u of
+      itself in any order (Higham, Accuracy and Stability of Numerical
+      Algorithms, 2nd ed., sec. 4.2), and B/n_f and its product add 2u, so
+      at most (1.01*n_f + 1)*u*P.
+
+    E = u*(20*L + 8*B + (2*n_f + 16)*P) + 1e-18*B*N^2 is at least 1.05
+    times their sum, term by term, and bounds :func:`capacity_nbs` at b = 0
+    (one term, squared by pow within 1 ulp) too.  At N=64, 0 dB, b=2.5/73
+    and 2,048 subcarriers it is 8e-13 of c_t.
+    """
+    n = arr.n_antennas
+    peak = band.bandwidth * math.log2(1.0 + n * band.snr)
+    return (2.0 ** -53 * (20.0 * capacity_slope_bound(band, arr) + 8.0 * band.bandwidth
+                          + (2.0 * band.n_f + 16.0) * peak)
+            + 1e-18 * band.bandwidth * n * n)
+
+
+def _sign_margin(c_t: float, band: BandConfig, arr: ArrayConfig) -> float:
+    """Margin M = 2E + 4u*(c_t + 8L), u = 2**-53, E and L from
+    :func:`_rounding_bound` and :func:`capacity_slope_bound`, by which a
+    sign proof must clear a level at most ``c_t``.
+
+    Lemma: on a piece of angles |psi| <= 1 where every offset is at most 1,
+    let c be the computed capacity at m, h with every point within h + 2u
+    of m, and S <= L, S*h <= L, within 16u of a bound on how fast the exact
+    capacity falls (rises) from m.  If the computed c - S*h >= level + M
+    (c + S*h < level - M), every computed capacity on the piece is >= (<)
+    the level.  Proof: each is within E/1.05 of the exact one, as E exceeds
+    its bullets by 5%; the exact one within the bound times h + 2u of its
+    value at m; the computed S*h within 17u*L of the bound times h; the
+    level's and the test's sums round by u*(level + M) each.  That adds up
+    to at most 2E/1.05 + 19u*L + 2u*(c_t + M) <= M.  A level <= 0 is met
+    trivially.
+    """
+    return 2.0 * _rounding_bound(band, arr) + 2.0 ** -51 * (
+        c_t + 8.0 * capacity_slope_bound(band, arr))
+
+
 def capacity_nbs(psi_f: ArrayLike, psi: ArrayLike, band: BandConfig,
                  arr: ArrayConfig) -> float | np.ndarray:
     """Capacity without squint: every subcarrier sees the carrier pattern.

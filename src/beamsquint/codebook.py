@@ -20,22 +20,17 @@ chain's own earlier beams; a Newton step from the predicted root lands
 within the solver's tolerance on most solves of a long chain, which then
 take three capacity evaluations.  Nothing is carried from one chain to the
 next, so a parity's beams do not depend on which parity is built first.
-The capacity at a solve's
-bracket start, C(psi, psi) at a focus or at a left edge, is evaluated for
-its sign only where that sign is not proved: C(psi, psi) does not rise
-with |psi| while every subcarrier stays in the main lobe, so one
-evaluation per design proves that it meets c_t up to some angle (see
-:func:`_certified_reach`), and within that angle it is evaluated only when
-a secant step needs its value.  A skipped sign is proved, not assumed, so
-every result is the same bits.  When the capacity at a
-required focus cannot reach the threshold, no codebook exists for that
-fractional bandwidth.  Every chain starts a beam within one no-squint
-beamwidth below psi_m, so where C(psi, psi) is proved below c_t on that
-whole interval, by a few batched evaluations and a slope bound (see
+The capacity at a solve's bracket start, C(psi, psi) at a focus or at a
+left edge, is evaluated only where :func:`_certified_reach` does not prove
+its sign, so every result is the same bits.  When the capacity at a required
+focus cannot reach the threshold, no codebook exists for that fractional
+bandwidth.  Every chain starts a beam within one no-squint beamwidth below
+psi_m, so where C(psi, psi) is proved below c_t on that whole interval, by
+a few batched evaluations and a slope bound (see
 :func:`_proved_infeasible`), both chains fail and a feasibility verdict
 needs neither; :func:`design_codebook` still builds both, to name where
-each fails.  The largest workable bandwidth is itself located by
-bisection on feasibility.
+each fails.  The largest workable bandwidth is itself located by bisection
+on feasibility.
 
 Synthesis is sequential per codebook and runs on the calling thread, as
 does every check; distinct designs share no mutable state and may run
@@ -51,7 +46,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .array_model import ArrayConfig
-from .capacity import (BandConfig, _require_finite_positive, _require_visible,
+from .capacity import (BandConfig, _max_offset_ratio, _on_focus_slope_bound,
+                       _require_finite_positive, _require_visible, _sign_margin,
                        beamwidth_nbs, capacity_bs, capacity_slope_bound,
                        capacity_threshold, gain_region)
 from .errors import ConfigError, DomainError, InfeasibleError
@@ -74,15 +70,6 @@ _COVERAGE_RTOL = 1e-6
 
 # Runs of coverage_check's screen this short are evaluated point by point.
 _DIRECT_POINTS = 4
-
-# Relative allowance (of c_t) by which the screen's proof must clear the
-# floor.  Where it exceeds twice the rounding error of one capacity
-# evaluation (2E of _on_focus_rounding is 1.6e-12 of c_t for the paper's
-# N=64 design), a run proved by the slope bound also passes when evaluated
-# point by point.  2E grows as the SNR falls (at b = 0.05: 4.6e-10 of c_t
-# at N=128, -60 dB; 3.1e-9 at N=1024, -60 dB; 3.8e-8 at N=128, -80 dB), so
-# at low SNR that is not proved.
-_SCREEN_ALLOWANCE = 1e-9
 
 # Capacity evaluations _proved_infeasible may spend before it leaves a
 # verdict to the chains; 16 proves the same 23 cells of the default size
@@ -228,10 +215,9 @@ def solve_focus_from_left(psi_l: float, c_t: float, band: BandConfig,
 
 def _solve(f: Callable[[float], float], base: float, half: float,
            track: _Track | None, reach: float) -> float | None:
-    """:func:`~beamsquint.roots.bisect` of ``f`` on [base, base + half],
-    with ``track``'s hints, recording the root on ``track``."""
-    if track is None:
-        return bisect(f, base, base + half, good_proved=abs(base) <= reach)
+    """:func:`~beamsquint.roots.bisect` of ``f`` on [base, base + half] with
+    the hints of ``track``, a fresh one if none, recording the root on it."""
+    track = track or _Track()
     root = bisect(track.watch(f), base, base + half, *track.hint(base),
                   good_proved=abs(base) <= reach)
     if root is not None:
@@ -419,18 +405,16 @@ def _certified_reach(psi_m: float, c_t: float, band: BandConfig,
     cosine decreases in |u| on [0, pi/N], so the gain falls as |x| grows
     on the main lobe |x| <= 2/N: C(psi, psi) does not increase with |psi|
     up to span = 2/(N*max|xi - 1|).  One evaluation at hi = min(psi_m,
-    span) that clears c_t + 3E, with E the rounding bound of
-    :func:`_on_focus_rounding`, proves the computed C(psi, psi) >= c_t at
-    every |psi| <= hi: c_t + 3E rounds to at least c_t + 2E, so the exact
-    C(psi, psi) >= C(hi, hi) >= c_t + E, and the computed value is within
-    E of it.  When hi does not clear, one bisection on [0, hi] finds a
-    point that does, and the proof holds up to it.  At zero bandwidth
-    C(psi, psi) is one value for every psi.  No monotone bracket is
-    assumed.  The checks every chain solve makes of ``c_t`` come first,
-    with the same errors.
+    span) that clears c_t + M proves the computed C(psi, psi) >= c_t at
+    every |psi| <= hi, by the lemma of
+    :func:`~beamsquint.capacity._sign_margin` with S = 0.  When hi does not
+    clear, one bisection on [0, hi] finds a point that does, and the proof
+    holds up to it.  At zero bandwidth C(psi, psi) is one value for every
+    psi.  No monotone bracket is assumed.  The checks every chain solve
+    makes of ``c_t`` come first, with the same errors.
     """
     beamwidth_nbs(c_t, band, arr)
-    target = c_t + 3.0 * _on_focus_rounding(band, arr)
+    target = c_t + _sign_margin(c_t, band, arr)
     excess = _max_offset_ratio(band)
     hi = psi_m
     if excess > 0.0:
@@ -440,67 +424,6 @@ def _certified_reach(psi_m: float, c_t: float, band: BandConfig,
         return hi
     reach = bisect(lambda psi: capacity_bs(psi, psi, band, arr) - target, 0.0, hi)
     return -1.0 if reach is None else reach
-
-
-def _on_focus_rounding(band: BandConfig, arr: ArrayConfig) -> float:
-    """Bound E on the rounding error of ``capacity_bs(psi, psi)`` at
-    |psi| <= 1, where every offset x = (xi - 1)*psi has |x| <= b/2 < 1,
-    against the same sum taken exactly at the band's stored ratios xi.
-    It holds on the main lobe and off it, where b*N > 4 can put offsets.
-
-    With u = 2**-53, sin and log2 within 4 ulp, L from
-    :func:`~beamsquint.capacity.capacity_slope_bound` and P = B*log2(1 +
-    N*snr) the peak capacity:
-
-    * x = xi*psi - psi is computed within 3u*(1 + b/2) of (xi - 1)*psi;
-      by the proof of ``capacity_slope_bound``, whose L carries the factor
-      1 + b/2, that moves C by at most 3u*L;
-    * both sine arguments are within 3u relative, the sines within 4 ulp
-      and the quotient within 9u relative, so G = |D_N(pi*x/2)|/sqrt(N) is
-      computed within 24u*sqrt(N) at every |x| < 1 (where |x| >= 1/N, the
-      numerator's absolute error of at most 3u*N*pi*|x|/2 + 4u over
-      sqrt(N)*sin(pi*|x|/2) >= sqrt(N)*|x|, and a relative error nearer
-      broadside); a term's slope in G is at most
-      B/n_f*sqrt(snr)/ln 2, so C moves by at most 24u*B*sqrt(N*snr)/ln 2
-      <= 16u*L, as L >= (pi*N/4)*B*sqrt(N*snr)/ln 2;
-    * where |sin(pi*x/2)| < 1e-9 the gain is its limit sqrt(N), off by a
-      relative N^2*1e-18/6, which moves C by at most 1e-18*B*N^2;
-    * squaring, scaling by snr, adding 1 and log2 move a term t by at most
-      u*(4.4 + 8*t), so C by at most 5u*B + 8u*P;
-    * a sum of n_f non-negative terms errs by at most 1.01*(n_f - 1)*u of
-      itself in any order (Higham, Accuracy and Stability of Numerical
-      Algorithms, 2nd ed., sec. 4.2), and B/n_f and its product add 2u,
-      so at most (1.01*n_f + 1)*u*P.
-
-    E = u*(20*L + 8*B + (2*n_f + 16)*P) + 1e-18*B*N^2 exceeds their sum.
-    At N=64, 0 dB, b=2.5/73 and 2,048 subcarriers it is 4e-12, 8e-13 of c_t.
-    """
-    n = arr.n_antennas
-    peak = band.bandwidth * math.log2(1.0 + n * band.snr)
-    return (2.0 ** -53 * (20.0 * capacity_slope_bound(band, arr) + 8.0 * band.bandwidth
-                          + (2.0 * band.n_f + 16.0) * peak)
-            + 1e-18 * band.bandwidth * n * n)
-
-
-def _max_offset_ratio(band: BandConfig) -> float:
-    """max|xi - 1| over the band's stored ratios: the offset x = (xi -
-    1)*psi that a beam's own focus psi sees is at most this times |psi|."""
-    return max(float(band.ratios[-1]) - 1.0, 1.0 - float(band.ratios[0]))
-
-
-def _on_focus_slope_bound(band: BandConfig, arr: ArrayConfig) -> float:
-    """Bound on |d/dpsi C(psi, psi)|, the slope of a beam's capacity at its
-    own focus.
-
-    Subcarrier xi sees x = (xi - 1)*psi, so its term's slope in psi is its
-    slope in x times |xi - 1|.  The proof of
-    :func:`~beamsquint.capacity.capacity_slope_bound` bounds the slope in x
-    averaged over the band by L/(1 + b/2), L carrying the factor 1 + b/2
-    for the largest xi, so the bound is L*max|xi - 1|/(1 + b/2), about
-    L*(b/2)/(1 + b/2).
-    """
-    return (capacity_slope_bound(band, arr) * _max_offset_ratio(band)
-            / (1.0 + band.b / 2.0))
 
 
 def _proved_infeasible(psi_m: float, c_t: float, band: BandConfig,
@@ -529,15 +452,12 @@ def _proved_infeasible(psi_m: float, c_t: float, band: BandConfig,
     The interval is halved as in :func:`_screen_runs`, one batched
     capacity call per level.  A piece with computed midpoint m, and h the
     larger distance from m to its ends, is proved when C(m, m) + S*h is
-    below c_t*(1 - ``_SCREEN_ALLOWANCE``) - 2E, with S from
-    :func:`_on_focus_slope_bound` and E from :func:`_on_focus_rounding`,
-    which holds off the main lobe too: the computed C(psi, psi) is then
-    at most the exact one plus E <= the exact C(m, m) + S*h + E <= the
-    computed C(m, m) + S*h + 2E < c_t.  The allowance covers the rounding
-    of the test itself, a few ulps of c_t.  (It alone exceeds 2E at
-    common settings, where 2E is 1.6e-12 of c_t for the paper's N=64
-    design, but not at every SNR, hence the 2E.)  A midpoint that reaches
-    that ceiling cannot be proved at any depth and ends the proof.
+    below c_t - M, with S from
+    :func:`~beamsquint.capacity._on_focus_slope_bound` and M from
+    :func:`~beamsquint.capacity._sign_margin`, whose lemma then puts the
+    computed C(psi, psi) below c_t on the whole piece, off the main lobe
+    too.  A midpoint that reaches c_t - M cannot be proved at any depth
+    and ends the proof.
 
     The checks of ``psi_m`` and of ``c_t`` come first, with the chains'
     errors, except that a ``c_t`` at or above the peak, where
@@ -549,7 +469,7 @@ def _proved_infeasible(psi_m: float, c_t: float, band: BandConfig,
     except InfeasibleError:
         return True
     slope = _on_focus_slope_bound(band, arr)
-    ceiling = c_t * (1.0 - _SCREEN_ALLOWANCE) - 2.0 * _on_focus_rounding(band, arr)
+    ceiling = c_t - _sign_margin(c_t, band, arr)
     lo, hi = np.array([max(0.0, psi_m - bw - 1e-15)]), np.array([psi_m])
     spent = 0
     while len(lo):
@@ -608,16 +528,16 @@ def coverage_check(cb: Codebook, band: BandConfig, arr: ArrayConfig,
     speed heuristic only).  A run of points with the same nearest beam
     passes without being evaluated when the capacity at its midpoint,
     less :func:`~beamsquint.capacity.capacity_slope_bound` times its
-    half-width, still meets the floor; runs that cannot be proved are
-    halved, and runs of at most ``_DIRECT_POINTS`` points are evaluated
-    point by point.  A point passes only where the floor is proved or
-    computed, so the verdict equals a point-by-point check wherever
-    ``_SCREEN_ALLOWANCE`` exceeds twice the rounding error of one
-    evaluation; at low SNR (-60 dB and below at large N) that equality is
-    not proved.  The points that fail are tested against every beam, up
-    to ``_FALLBACK_POINTS`` points per call, and the first point that no
-    beam covers ends the check.  The check depends only on the codebook and the model, never
-    on a solver tolerance.
+    half-width, clears the floor by M of
+    :func:`~beamsquint.capacity._sign_margin` and every offset on the run
+    is at most 1; runs that cannot be proved are halved, and runs of at
+    most ``_DIRECT_POINTS`` points are evaluated point by point.  A point
+    passes only where the floor is proved or computed, so by M's lemma the
+    verdict equals a point-by-point check at every SNR.  The points that
+    fail are tested against every beam, up to ``_FALLBACK_POINTS`` points
+    per call, and the first point that no beam covers ends the check.  The
+    check depends only on the codebook and the model, never on a solver
+    tolerance.
     """
     grid = _coverage_grid(cb.psi_m, grid_step)
     foci = np.array([beam.focus for beam in cb.beams])
@@ -640,9 +560,11 @@ def _screen_runs(grid: np.ndarray, focus: np.ndarray, floor: float, c_t: float,
 
     Bisects each run of equal foci until it is proved by the slope bound
     or short enough to evaluate; each level is one batched capacity call.
+    A run's largest offset xi*psi - focus, as capacity_bs computes it, sits
+    at one of its two ends and one of the two outer subcarriers.
     """
     slope = capacity_slope_bound(band, arr)
-    margin = floor + _SCREEN_ALLOWANCE * c_t
+    margin = floor + _sign_margin(c_t, band, arr)
     missed = np.zeros(len(grid), dtype=bool)
     cuts = np.flatnonzero(focus[1:] != focus[:-1]) + 1
     lo = np.concatenate(([0], cuts))
@@ -657,7 +579,9 @@ def _screen_runs(grid: np.ndarray, focus: np.ndarray, floor: float, c_t: float,
                            np.concatenate((grid[points], 0.5 * (first + last))),
                            band, arr)
         missed[points] = caps[:len(points)] < floor
-        unproved = caps[len(points):] - slope * (0.5 * (last - first)) < margin
+        ends = np.multiply.outer(band.ratios[[0, -1]], (first, last)) - focus[lo]
+        unproved = ((np.abs(ends).max(axis=(0, 1)) > 1.0)
+                    | (caps[len(points):] - slope * (0.5 * (last - first)) < margin))
         lo, hi = lo[unproved], hi[unproved]
         mid = (lo + hi) // 2
         lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))

@@ -11,12 +11,12 @@ from beamsquint import (ArrayConfig, BandConfig, Beam, Codebook, ConfigError, Do
                         estimate_bsup, fit_bsup_constant, improvement_max,
                         improvement_ratio, solve_focus_from_left, solve_right_edge,
                         traditional_min_capacity)
-from beamsquint import codebook
+from beamsquint import capacity, codebook
 from beamsquint.codebook import _coverage_grid
 from beamsquint.experiments import sweep_codebook_size_vs_n
 
 from oracles import (both_parity_bsup, exhaustive_coverage_check,
-                     long_double_on_focus_capacity, ref_halfwidth,
+                     long_double_capacity, ref_halfwidth,
                      scan_first_at_or_above, scan_last_at_or_above)
 
 SQRT2_OVER_2 = math.sqrt(2.0) / 2.0
@@ -441,6 +441,29 @@ class TestCoverageScreen:
         band = band_for(0.0342, n_f=256)
         self.same_verdict(squint_ignoring(64, band), band, ArrayConfig(64), step, False)
 
+    @pytest.mark.parametrize("n, snr_db", [(128, -80.0), (1024, -60.0)])
+    def test_low_snr_books(self, n, snr_db):
+        # Twice the rounding bound exceeds 1e-9 of c_t here, so the margin
+        # of the screen's proofs is mostly rounding.
+        band = band_for(2.0 / n, n_f=256, snr=10 ** (snr_db / 10))
+        cb, arr = designed(n, band)
+        assert 2.0 * capacity._rounding_bound(band, arr) > 1e-9 * cb.c_t
+        self.same_verdict(cb, band, arr, 1e-4, True)
+        for i in (0, cb.size // 4, cb.size // 2, cb.size - 1):
+            pruned = Codebook(beams=cb.beams[:i] + cb.beams[i + 1:],
+                              psi_m=cb.psi_m, c_t=cb.c_t)
+            self.same_verdict(pruned, band, arr, 1e-4, False)
+
+    @pytest.mark.parametrize("expected", [True, False])
+    def test_offsets_past_one(self, expected):
+        # One beam at focus 0 over [-1, 1] at b = 0.5: near endfire the
+        # outer subcarriers see offsets up to 1.25, where no run is proved.
+        arr, band = ArrayConfig(2), band_for(0.5, n_f=256)
+        low = np.min(capacity_bs(0.0, _coverage_grid(1.0, 1e-3), band, arr))
+        c_t = 0.5 * low if expected else threshold(band, arr)
+        cb = Codebook(beams=(Beam(0.0, -1.0, 1.0),), psi_m=1.0, c_t=c_t)
+        self.same_verdict(cb, band, arr, 1e-3, expected)
+
     def test_reversed_book(self):
         band = band_for(0.0179, n_f=256)
         cb, arr = designed(16, band)
@@ -681,10 +704,10 @@ class TestOnFocusCertificate:
             span = 2.0 / (n * np.max(np.abs(band.ratios - 1.0)))
             psi = np.linspace(0.0, min(span, 1.0), 401)
             caps = capacity_bs(psi, psi, band, arr)
-            error = codebook._on_focus_rounding(band, arr)
+            error = capacity._rounding_bound(band, arr)
             assert np.all(np.diff(caps) <= 2.0 * error)
             if np.finfo(np.longdouble).eps < 1e-18:
-                exact = long_double_on_focus_capacity(psi[::20], band, n)
+                exact = long_double_capacity(psi[::20], psi[::20], band, n)
                 assert np.all(np.abs(caps[::20] - exact) <= error)
 
     def test_reach_is_proved(self):
@@ -780,7 +803,7 @@ class TestInfeasibilityProof:
             band = BandConfig(b=b, n_f=8, snr=snr, bandwidth_hz=2.5e9 if hz else None)
             caps = capacity_bs(psis, psis, band, arr)
             ratio = np.max(np.abs(np.diff(caps)) / np.diff(psis))
-            bound = codebook._on_focus_slope_bound(band, arr)
+            bound = capacity._on_focus_slope_bound(band, arr)
             assert ratio <= bound * (1.0 + 1e-6), (snr, ratio / bound)
 
     @pytest.mark.parametrize("n", [16, 64])
@@ -794,9 +817,31 @@ class TestInfeasibilityProof:
         for snr in (1.0, 10.0):
             band = band_for(bn / n, snr=snr)
             psi = np.linspace(0.0, 1.0, 51)
-            exact = long_double_on_focus_capacity(psi, band, n)
-            error = codebook._on_focus_rounding(band, arr)
+            exact = long_double_capacity(psi, psi, band, n)
+            error = capacity._rounding_bound(band, arr)
             assert np.all(np.abs(capacity_bs(psi, psi, band, arr) - exact) <= error)
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 128, 1024])
+    def test_rounding_bound_holds_off_focus(self, n):
+        # Random (f, psi) with |psi| <= 1 and every offset xi*psi - f within
+        # [-1, 1], out to both ends, across b*N and from -80 to 30 dB.
+        if np.finfo(np.longdouble).eps >= 1e-18:
+            pytest.skip("long double is no wider than double here")
+        arr, rng = ArrayConfig(n), np.random.default_rng(n)
+        for snr_db in (-80.0, -60.0, 0.0, 30.0):
+            for bn in (0.25, 2.0, 6.0):
+                band = band_for(min(bn / n, 1.9), n_f=256, snr=10 ** (snr_db / 10))
+                psi = rng.uniform(-1.0, 1.0, 30)
+                lo = np.maximum(band.ratios[0] * psi, band.ratios[-1] * psi) - 1.0
+                hi = np.minimum(band.ratios[0] * psi, band.ratios[-1] * psi) + 1.0
+                f = rng.uniform(lo + 1e-12, hi - 1e-12)
+                f[0], f[1] = lo[0] + 1e-12, hi[1] - 1e-12
+                offsets = band.ratios * psi[:, np.newaxis] - f[:, np.newaxis]
+                assert np.abs(offsets).max() <= 1.0
+                exact = long_double_capacity(f, psi, band, n)
+                error = capacity._rounding_bound(band, arr)
+                assert np.all(np.abs(capacity_bs(f, psi, band, arr) - exact) <= error), \
+                    (snr_db, bn)
 
     def test_sweep_cell_past_the_limit_builds_no_chain(self, monkeypatch):
         # N=64 at b*N = 3.65 and 0 dB, well past b_sup (about 2.98/64):
