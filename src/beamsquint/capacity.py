@@ -168,16 +168,17 @@ def capacity_slope_bound(band: BandConfig, arr: ArrayConfig) -> float:
 
     * D_N(u) = sum_k exp(i*(N-1-2k)*u) is a trigonometric polynomial, hence
       |D_N'| <= sum_k |N-1-2k| <= N^2/2 and |G'| <= pi*N^(3/2)/4;
-    * 2*snr*G/(1 + snr*G^2) <= sqrt(snr), by 1 + snr*G^2 >= 2*sqrt(snr)*G;
+    * 2*snr*G/(1 + snr*G^2) <= m = min(sqrt(snr), 2*snr*sqrt(N)), by 1 +
+      snr*G^2 >= 2*sqrt(snr)*G, and by 1 + snr*G^2 >= 1 and G <= sqrt(N)
+      (|D_N| <= N); the second is the smaller where N*snr < 1/4;
     * xi <= 1 + b/2 on every subcarrier.
 
-    Averaging the n_f terms gives
-    L = B*sqrt(snr)*(pi*N^(3/2)/4)*(1 + b/2)/ln 2, with B
-    ``band.bandwidth``; at b = 0 it bounds :func:`capacity_nbs` too.
+    Averaging the n_f terms gives L = B*m*(pi*N^(3/2)/4)*(1 + b/2)/ln 2,
+    with B ``band.bandwidth``; at b = 0 it bounds :func:`capacity_nbs` too.
     """
     n = arr.n_antennas
-    return (band.bandwidth * math.sqrt(band.snr) * (math.pi * n ** 1.5 / 4.0)
-            * (1.0 + band.b / 2.0) / math.log(2.0))
+    return (band.bandwidth * min(math.sqrt(band.snr), 2.0 * band.snr * math.sqrt(n))
+            * (math.pi * n ** 1.5 / 4.0) * (1.0 + band.b / 2.0) / math.log(2.0))
 
 
 def _max_offset_ratio(band: BandConfig) -> float:
@@ -211,9 +212,9 @@ def _rounding_bound(band: BandConfig, arr: ArrayConfig) -> float:
       within 24u*sqrt(N) at |x| <= 1 (where |x| >= 1/N, the numerator's
       absolute error of at most 3u*N*pi*|x|/2 + 4u over
       sqrt(N)*sin(pi*|x|/2) >= sqrt(N)*|x|, and a relative error nearer
-      broadside); a term's slope in G is at most B/n_f*sqrt(snr)/ln 2, so C
-      moves by at most 24u*B*sqrt(N*snr)/ln 2 <= 16u*L, as L >=
-      (pi*N/4)*B*sqrt(N*snr)/ln 2;
+      broadside); a term's slope in G is at most B/n_f*m/ln 2, m the
+      factor of L, so C moves by at most 24u*B*sqrt(N)*m/ln 2 <= 16u*L, as
+      L >= (pi*N/4)*B*sqrt(N)*m/ln 2;
     * where |sin(pi*x/2)| < 1e-9, near 0 only, the gain is its limit
       sqrt(N), a relative N^2*1e-18/6 off: C moves by <= 1e-18*B*N^2/2;
     * squaring, scaling by snr, adding 1 and log2 move a term t by at most

@@ -14,12 +14,14 @@ is proved infeasible in advance builds neither (see below).
 Coverage edges and focus angles have no closed form; each is the root of a
 monotone capacity equation on a bracket of half the no-squint beamwidth and
 is found by the bracketed secant solver of :mod:`beamsquint.roots`, on the
-side of the root where the beam meets c_t exactly.  Each solve after a
-chain's first beam starts from a root and a slope predicted from the
-chain's own earlier beams; a Newton step from the predicted root lands
-within the solver's tolerance on most solves of a long chain, which then
-take three capacity evaluations.  Nothing is carried from one chain to the
-next, so a parity's beams do not depend on which parity is built first.
+side of the root where the beam meets c_t exactly.  The band pairs each
+subcarrier ratio xi with 2 - xi and the gain is even in its offset, so
+C(2*psi - f, psi) = C(f, psi): each focus is the previous one mirrored
+about their shared edge, and each focus solve but the even chain's first
+starts there.  Each right edge starts from a root and slope extrapolated
+from the chain's earlier edges, so most solves take two capacity
+evaluations.  Nothing is carried from one chain to the next, so a
+parity's beams do not depend on which parity is built first.
 The capacity at a solve's bracket start, C(psi, psi) at a focus or at a
 left edge, is evaluated only where :func:`_certified_reach` does not prove
 its sign, so every result is the same bits.  When the capacity at a required
@@ -81,14 +83,14 @@ _PROOF_POINTS = 16
 _FALLBACK_POINTS = 8
 
 # Degrees of the polynomials in the beam index that extrapolate a chain's
-# roots and the slopes of its solves at them.
+# right edges and the slopes of its edge solves at them.
 _ORDER = 6
 _SLOPE_ORDER = 2
 # A chain solve's second probe lands this many times the expected error of
 # its Newton point past that point.
 _SPREAD_GAIN = 4.0
 # Error assumed, as a share of the offset, for the first prediction of a
-# chain, which repeats the first beam's offset.
+# chain's edges, which repeats the first edge's offset.
 _FIRST_ERROR = 2.5e-3
 
 
@@ -178,25 +180,28 @@ def solve_right_edge(psi_f: float, c_t: float, band: BandConfig,
         local signal that the fractional bandwidth is too large).
     """
     half = beamwidth_nbs(c_t, band, arr) / 2.0
-    edge = _solve(lambda psi: capacity_bs(psi_f, psi, band, arr) - c_t,
-                  psi_f, half, track, reach)
+    track = track or _Track()
+    edge = bisect(track.watch(lambda psi: capacity_bs(psi_f, psi, band, arr) - c_t),
+                  psi_f, psi_f + half, *track.hint(psi_f), good_proved=abs(psi_f) <= reach)
     if edge is None:
         raise InfeasibleError(
             f"capacity at focus {psi_f} is below the threshold", psi_f)
+    track.observe(psi_f, edge)
     return edge
 
 
 def solve_focus_from_left(psi_l: float, c_t: float, band: BandConfig,
-                          arr: ArrayConfig, *, track: _Track | None = None,
+                          arr: ArrayConfig, *, guess: float | None = None,
                           reach: float = -1.0) -> float:
     """Focus angle whose coverage starts exactly at ``psi_l``.
 
     As the focus moves right of ``psi_l`` the capacity delivered at
     ``psi_l`` falls; the focus is the point where it hits c_t, bracketed
     within half a no-squint beamwidth of ``psi_l``, taken on the side where
-    the capacity at ``psi_l`` still meets c_t.  ``track`` and ``reach``
-    are as in :func:`solve_right_edge`, ``track`` recording foci; the
-    capacity a beam focused on ``psi_l`` delivers there is C(psi_l, psi_l).
+    the capacity at ``psi_l`` still meets c_t.  A predicted focus
+    ``guess`` is probed, then a point just past it; the focus meets the
+    same conditions with or without it.  ``reach`` is as in
+    :func:`solve_right_edge`, for C(psi_l, psi_l).
 
     Raises
     ------
@@ -205,29 +210,17 @@ def solve_focus_from_left(psi_l: float, c_t: float, band: BandConfig,
         there (no bracketed root exists).
     """
     half = beamwidth_nbs(c_t, band, arr) / 2.0
-    focus = _solve(lambda pf: capacity_bs(pf, psi_l, band, arr) - c_t,
-                   psi_l, half, track, reach)
+    focus = bisect(lambda pf: capacity_bs(pf, psi_l, band, arr) - c_t,
+                   psi_l, psi_l + half, guess, good_proved=abs(psi_l) <= reach)
     if focus is None:
         raise InfeasibleError(
             f"no focus can deliver the threshold at left edge {psi_l}", psi_l)
     return focus
 
 
-def _solve(f: Callable[[float], float], base: float, half: float,
-           track: _Track | None, reach: float) -> float | None:
-    """:func:`~beamsquint.roots.bisect` of ``f`` on [base, base + half] with
-    the hints of ``track``, a fresh one if none, recording the root on it."""
-    track = track or _Track()
-    root = bisect(track.watch(f), base, base + half, *track.hint(base),
-                  good_proved=abs(base) <= reach)
-    if root is not None:
-        track.observe(base, root)
-    return root
-
-
 class _Track:
-    """One kind of root along a chain, a focus from its beam's left edge
-    or a right edge from its beam's focus, and the predictions of the next.
+    """The right edges along a chain, each from its beam's focus, and the
+    prediction of the next.
 
     Each solve's final bracket gives the slope of its predicate, from the
     bracket's two values, and its root, the secant point between them,
@@ -241,6 +234,8 @@ class _Track:
     errors as a share of their steps, so that a Newton miss widens the next
     spreads.  Before a Newton point has been seen the share is 1, which
     leaves the spread past the guess that a prediction alone would take.
+    The last offset also starts the next focus solve, see
+    :func:`_grow_chain`.
     """
 
     def __init__(self):
@@ -307,29 +302,30 @@ def _extrapolate(ys: Sequence[float], order: int) -> float:
     return sum((-1) ** (k - 1 - i) * math.comb(k, i) * y for i, y in enumerate(ys))
 
 
-def _grow_chain(start_right: float, psi_m: float, c_t: float, band: BandConfig,
-                arr: ArrayConfig, reach: float) -> list[Beam]:
+def _grow_chain(start_right: float, edges: _Track, psi_m: float, c_t: float,
+                band: BandConfig, arr: ArrayConfig, reach: float) -> list[Beam]:
     """Chain beams rightward from ``start_right`` until psi_m is covered.
 
-    Beams change slowly along a chain, so each solve after the first beam
-    starts from a root and a slope predicted by a :class:`_Track` of the
-    chain's own earlier foci or edges: the solver probes the predicted
-    root, then a point a spread past its Newton point, and then closes the
-    bracket from the secant points of its probes (see
-    :func:`~beamsquint.roots.bisect`).  The first beam's solves use the
-    full bracket.  The tracks start empty for every chain, so the beams of
-    a parity are the same bits whichever parity is built first, and an
-    :func:`estimate_bsup` probe's verdict is that of a full design.  Every
-    solve whose bracket starts within ``reach`` is spared the capacity
-    there, see :func:`solve_right_edge`.
+    ``edges`` is the chain's :class:`_Track`: empty for the even parity,
+    holding the centre beam's edge (``start_right``) for the odd.  By the
+    mirror identity of the module docstring a focus lies as far right of
+    its left edge as the previous edge lies right of its focus, so each
+    focus solve probes the left edge plus the last offset on ``edges``;
+    the even chain's first uses the full bracket, whose end it is.  Each
+    edge solve probes the root and Newton point that ``edges`` predicts
+    (see :func:`~beamsquint.roots.bisect`).  Each parity starts its own
+    record, so its beams are the same bits whichever parity is built
+    first, and an :func:`estimate_bsup` probe's verdict is that of a full
+    design.  Solves whose bracket starts within ``reach`` skip the
+    capacity there, see :func:`solve_right_edge`.
     """
-    to_focus, to_edge = _Track(), _Track()
     out: list[Beam] = []
     right = start_right
     while right < psi_m:
         left = right
-        focus = solve_focus_from_left(left, c_t, band, arr, track=to_focus, reach=reach)
-        edge = solve_right_edge(focus, c_t, band, arr, track=to_edge, reach=reach)
+        guess = left + edges.offsets[-1] if edges.offsets else None
+        focus = solve_focus_from_left(left, c_t, band, arr, guess=guess, reach=reach)
+        edge = solve_right_edge(focus, c_t, band, arr, track=edges, reach=reach)
         if edge - left < _MIN_BEAM_WIDTH:
             raise InfeasibleError(
                 f"beam coverage collapsed below solver resolution at focus {focus}",
@@ -492,11 +488,11 @@ def _codebook(parity: str, psi_m: float, c_t: float, band: BandConfig,
     mirrored about broadside: for the odd size from the right edge of a
     beam centred on broadside, for the even size from 0, so that pairs
     straddle broadside."""
-    start, centre = 0.0, []
+    start, centre, edges = 0.0, [], _Track()
     if parity == "odd":
-        start = solve_right_edge(0.0, c_t, band, arr, reach=reach)
+        start = solve_right_edge(0.0, c_t, band, arr, track=edges, reach=reach)
         centre = [Beam(0.0, 0.0 - start, start)]
-    chain = _grow_chain(start, psi_m, c_t, band, arr, reach)
+    chain = _grow_chain(start, edges, psi_m, c_t, band, arr, reach)
     # 0.0 - x rather than -x keeps a 0.0 edge from turning into -0.0.
     mirrored = [Beam(0.0 - b.focus, 0.0 - b.right, 0.0 - b.left) for b in reversed(chain)]
     return Codebook(beams=tuple(mirrored + centre + chain), psi_m=psi_m, c_t=c_t)

@@ -82,6 +82,9 @@ def bisect(f: Callable[[float], float], good: float, bad: float,
             return None
     width = abs(bad - good)
     n_max = math.ceil(math.log2(max(width, TOL) / TOL)) + SLACK
+    # ITP bounds each step's bracket by tol * 2**(steps left), tol leaving 4
+    # ulps for the rounding of mid +- radius, so the last leaves <= TOL.
+    tol = TOL - 4.0 * math.ulp(max(abs(good), abs(bad)))
     fb = None  # f(bad): not needed unless bad is still an end after the probes
     probing = guess is not None
     target = guess
@@ -99,7 +102,7 @@ def bisect(f: Callable[[float], float], good: float, bad: float,
         # TOL/2 inside either end, so that a secant point already within
         # TOL/2 of the crossing closes the bracket with the next step.
         mid = 0.5 * (good + bad)
-        radius = max(min(TOL * 2.0 ** (n_max - j - 1) - 0.5 * width,
+        radius = max(min(tol * 2.0 ** (n_max - j - 1) - 0.5 * width,
                          0.5 * (width - TOL)), 0.0)
         if not probing and fg is None:
             fg = f(good)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import beamsquint
 
@@ -260,7 +262,9 @@ class TestCapacitySlopeBound:
         arr = ArrayConfig(n)
         psis = np.linspace(-1.0, 1.0, 40_001)
         foci = np.array([[0.0], [0.5], [0.97]])
-        for snr in (0.01, 1.0, 100.0):
+        # At snr 1e-6 and 1e-8 (N*snr < 1/4) the bound's factor is
+        # 2*snr*sqrt(N), not sqrt(snr).
+        for snr in (1e-8, 1e-6, 0.01, 1.0, 100.0):
             band = BandConfig(b=b, n_f=8, snr=snr,
                               bandwidth_hz=2.5e9 if hz else None)
             caps = capacity_bs(foci, psis, band, arr)
@@ -269,6 +273,29 @@ class TestCapacitySlopeBound:
             assert ratio <= bound * (1.0 + 1e-6), (snr, ratio / bound)
             if n == 2 and b == 0.0 and snr == 100.0:
                 assert ratio >= 0.99 * bound
+
+
+class TestMirrorIdentity:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(n=st.integers(8, 1024), b=st.floats(1e-3, 1.5), pairs=st.integers(1, 1024),
+           snr_db=st.sampled_from([-20.0, 0.0, 3.0, 30.0]),
+           psi=st.floats(-1.0, 1.0), share=st.floats(-1.0, 1.0))
+    def test_focus_mirrored_about_the_angle_gives_the_same_capacity(
+            self, n, b, pairs, snr_db, psi, share):
+        # The band pairs each ratio xi with 2 - xi and the gain is even in
+        # its offset, so C(2*psi - f, psi) = C(f, psi) for the exact sum;
+        # the computed values differ by at most 2E, plus the slope bound
+        # times the pairs' asymmetry |xi + xi' - 2|*|psi| and the rounding
+        # of 2*psi - f.  f lies within 2/N of psi, so every offset is at
+        # most 2/N + b/2 <= 1, where E is proved.
+        arr, band = ArrayConfig(n), BandConfig(b=b, n_f=2 * pairs, snr=10 ** (snr_db / 10))
+        f = psi - share * 2.0 / n
+        mirror = 2.0 * psi - f
+        asymmetry = float(np.max(np.abs(band.ratios + band.ratios[::-1] - 2.0)))
+        allowed = (2.0 * capacity._rounding_bound(band, arr) + capacity_slope_bound(band, arr)
+                   * (asymmetry * abs(psi) + 2.0 ** -52 * abs(mirror)))
+        assert abs(capacity_bs(mirror, psi, band, arr)
+                   - capacity_bs(f, psi, band, arr)) <= allowed
 
 
 class TestCapacityNbs:

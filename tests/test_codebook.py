@@ -14,6 +14,7 @@ from beamsquint import (ArrayConfig, BandConfig, Beam, Codebook, ConfigError, Do
 from beamsquint import capacity, codebook
 from beamsquint.codebook import _coverage_grid
 from beamsquint.experiments import sweep_codebook_size_vs_n
+from beamsquint.roots import TOL
 
 from oracles import (both_parity_bsup, exhaustive_coverage_check,
                      long_double_capacity, ref_halfwidth,
@@ -27,8 +28,8 @@ def band_for(b, n_f=2048, snr=1.0):
 
 
 def design_counts(arr, band, monkeypatch):
-    """Size of the 3 dB design over [-1, 1], its root solves and its
-    capacity evaluations."""
+    """Size of the 3 dB design over [-1, 1] (None when it is infeasible),
+    its root solves and its capacity evaluations."""
     counts = {"capacity": 0, "solves": 0}
 
     def counting(key, fn):
@@ -40,8 +41,11 @@ def design_counts(arr, band, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(codebook, "capacity_bs", counting("capacity", capacity_bs))
         m.setattr(codebook, "bisect", counting("solves", codebook.bisect))
-        cb = design_codebook(1.0, capacity_threshold_3db(band, arr), band, arr)
-    return cb.size, counts["solves"], counts["capacity"]
+        try:
+            size = design_codebook(1.0, capacity_threshold_3db(band, arr), band, arr).size
+        except InfeasibleError:
+            size = None
+    return size, counts["solves"], counts["capacity"]
 
 
 def threshold(band, arr, r=SQRT2_OVER_2):
@@ -208,21 +212,24 @@ class TestDesignCodebook:
 
     def test_paper_design_solves_on_predicted_brackets(self, monkeypatch):
         # The paper's N=64 design, 2.5 GHz at 73 GHz and 0 dB: 169 solves
-        # over both chains.  Predicting each root and its slope from the
-        # chain's earlier beams, probing the predicted root and a spread
-        # past its Newton point, and proving the capacity at each bracket's
-        # start once per design, takes 399 capacity evaluations; the full
-        # brackets took 1,306, predicted roots alone 852, and predicted
-        # roots with the proof 689.
+        # over both chains.  Starting each focus at the previous focus
+        # mirrored about their shared edge, each edge at a root and slope
+        # extrapolated from the chain's earlier edges, and proving the
+        # capacity at each bracket's start once per design, takes 368
+        # capacity evaluations; extrapolating the foci like the edges took
+        # 399, and the full brackets 1,306.
         arr = ArrayConfig(64)
         band = BandConfig.from_hz(2.5e9, 73e9, n_f=2048, snr=1.0)
         size, solves, calls = design_counts(arr, band, monkeypatch)
         assert (size, solves) == (84, 169)
-        assert calls <= 420
+        assert calls <= 380
 
     @pytest.mark.parametrize("n, bn, size, solves, budget", [
-        (128, 2.19, 167, 335, 760),  # 725; 1,352 without Newton probes
-        (16, 1.5, 19, 39, 186),      # 177; 209 without Newton probes
+        (128, 2.19, 167, 335, 720),  # 697; 725 with extrapolated foci
+        (16, 1.5, 19, 39, 131),      # 127; 177 with extrapolated foci
+        # Infeasible, both chains ending at foci past endfire: 109; 180
+        # with extrapolated foci, whose last solves missed their Newton points.
+        (8, 3.0755, None, 29, 113),
     ])
     def test_chain_designs_keep_their_call_budgets(self, n, bn, size, solves, budget,
                                                    monkeypatch):
@@ -230,6 +237,25 @@ class TestDesignCodebook:
                                                         monkeypatch)
         assert (found_size, found_solves) == (size, solves)
         assert calls <= budget
+
+    @pytest.mark.parametrize("n, band", [
+        (64, BandConfig.from_hz(2.5e9, 73e9, n_f=2048, snr=1.0)),
+        (8, band_for(3.0 / 8)),
+        (8, band_for(3.0 / 8, snr=10 ** 0.3)),
+    ])
+    def test_each_focus_mirrors_the_previous_about_their_shared_edge(self, n, band):
+        # C(2*psi - f, psi) = C(f, psi), so the focus whose coverage starts
+        # at the previous beam's right edge is the previous focus mirrored
+        # about it; both are solved to TOL, and each focus solve starts there.
+        arr = ArrayConfig(n)
+        c_t = capacity_threshold_3db(band, arr)
+        books = [cb for cb in codebook._parities(1.0, c_t, band, arr)
+                 if isinstance(cb, Codebook)]
+        assert books
+        for cb in books:
+            for prev, beam in zip(cb.beams, cb.beams[1:]):
+                assert beam.left == prev.right
+                assert abs(beam.focus - (beam.left + (prev.right - prev.focus))) <= TOL
 
     def test_odd_bookkeeping_counts_centre_plus_pairs(self):
         arr = ArrayConfig(16)
@@ -453,6 +479,23 @@ class TestCoverageScreen:
             pruned = Codebook(beams=cb.beams[:i] + cb.beams[i + 1:],
                               psi_m=cb.psi_m, c_t=cb.c_t)
             self.same_verdict(pruned, band, arr, 1e-4, False)
+
+    def test_low_snr_screen_evaluates_fewer_points_than_the_grid(self, monkeypatch):
+        # At N*snr << 1 the slope bound's factor 2*snr*sqrt(N) is far below
+        # sqrt(snr), so the screen proves most runs: 4,920 evaluated points
+        # for the 20,001-point grid, where sqrt(snr) alone took 25,987.
+        n = 128
+        band = band_for(2.0 / n, n_f=256, snr=1e-8)
+        cb, arr = designed(n, band)
+        points = [0]
+
+        def counting(psi_f, psi, *rest):
+            points[0] += np.broadcast(np.asarray(psi_f), np.asarray(psi)).size
+            return capacity_bs(psi_f, psi, *rest)
+
+        monkeypatch.setattr(codebook, "capacity_bs", counting)
+        assert coverage_check(cb, band, arr, grid_step=1e-4)
+        assert points[0] < len(_coverage_grid(1.0, 1e-4)) == 20_001
 
     @pytest.mark.parametrize("expected", [True, False])
     def test_offsets_past_one(self, expected):

@@ -50,10 +50,17 @@ class TestBisect:
         sign = 1.0 if good < bad else -1.0
         f, calls = counted(lambda x: ADVERSARIAL[name](x if sign > 0 else 1.0 - x))
         root = ROOT if sign > 0 else 1.0 - ROOT
-        x = bisect(f, good, bad)
+        seen = []
+
+        def traced(x):
+            seen.append((x, f(x)))
+            return seen[-1][1]
+        x = bisect(traced, good, bad)
         assert calls[0] <= math.ceil(math.log2(1.0 / TOL)) + SLACK + 2
         assert abs(x - root) <= TOL
         assert ADVERSARIAL[name](x if sign > 0 else 1.0 - x) >= 0.0
+        # The final bracket, as computed, is at most TOL wide.
+        assert any(v < 0.0 and abs(p - x) <= TOL for p, v in seen)
 
     @pytest.mark.parametrize("good, bad", [(0.0, 1.0), (1.0, 0.0)])
     def test_linear_predicate_takes_at_most_four_calls(self, good, bad):
@@ -144,6 +151,36 @@ MONOTONE = {
 }
 
 
+class TestFinalBracket:
+    @settings(derandomize=True, deadline=None, max_examples=600)
+    @given(kind=st.sampled_from(sorted(set(MONOTONE) - {"exponential"})),
+           lo=st.floats(-2.0, 2.0),
+           width=st.floats(1e-11, 4.0),
+           share=st.floats(0.0, 1.0),
+           rate=st.floats(1e-3, 1e3),
+           guess=st.none() | st.floats(-1e-6, 1e-6),
+           flipped=st.booleans())
+    def test_is_at_most_tol_wide_as_computed(self, kind, lo, width, share, rate,
+                                             guess, flipped):
+        # Each step's rounding of mid +- radius is kept inside ITP's bound,
+        # so the bracket the last step leaves is within TOL, not a few ulps
+        # past it, even where the bound forces halving after halving.
+        root = lo + share * width
+        fn = MONOTONE[kind](root, rate)
+        good, bad = (lo + width, lo) if flipped else (lo, lo + width)
+        f = (lambda x: fn(2.0 * root - x)) if flipped else fn
+        assume(f(good) >= 0.0 > f(bad))
+        seen = []
+
+        def traced(x):
+            seen.append((x, f(x)))
+            return seen[-1][1]
+        x = bisect(traced, good, bad, None if guess is None else root + guess)
+        assert f(x) >= 0.0
+        assert any(v < 0.0 and abs(p - x) <= TOL for p, v in seen)
+        assert len(seen) <= math.ceil(math.log2(max(abs(bad - good), TOL) / TOL)) + SLACK + 2
+
+
 class TestProvedGoodEnd:
     @settings(derandomize=True, deadline=None, max_examples=400)
     @given(kind=st.sampled_from(sorted(MONOTONE)),
@@ -231,9 +268,8 @@ class TestSlopeHint:
                     case = (hint_name, guess, spread)
                     assert len(seen) <= math.ceil(math.log2(1.0 / TOL)) + SLACK + 2, case
                     assert fn(x) >= 0.0, case
-                    # The final bracket: an evaluated point below zero within
-                    # TOL, up to the rounding of its ends when the bound is spent.
-                    assert any(v < 0.0 and abs(p - x) <= TOL + 1e-16 for p, v in seen), case
+                    # The final bracket: an evaluated point below zero within TOL.
+                    assert any(v < 0.0 and abs(p - x) <= TOL for p, v in seen), case
                     assert abs(flip(x) - ROOT) <= TOL, case
 
     @pytest.mark.parametrize("slope", [-1.0, 1.0, 0.0, math.nan, math.inf])
