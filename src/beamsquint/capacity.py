@@ -257,6 +257,23 @@ def _sign_margin(c_t: float, band: BandConfig, arr: ArrayConfig) -> float:
         c_t + 8.0 * capacity_slope_bound(band, arr))
 
 
+def _mirror_margin(psi: float, mirror: float, band: BandConfig, arr: ArrayConfig) -> float:
+    """Margin D = 2E + L*(a*|psi| + 2**-52*|mirror|), a = 2**-52: where |psi|
+    <= 1 and every computed offset at both foci is at most 1, a computed
+    C(f, psi) - level >= D proves the computed C(mirror, psi) >= level,
+    ``mirror`` the computed 2*psi - f.  Proof: subcarrier_grid forms
+    +-delta as exact negatives and rounds 1 +- delta once each, within
+    2**-53 and 2**-54, so a bounds every |xi_k + xi_{n-1-k} - 2|.  The gain
+    is even, so term k at focus 2*psi - f is term n-1-k at f, its offset
+    moved by at most a*|psi|: the exact sums differ by at most L*a*|psi|,
+    and by L*2**-52*|mirror| more at the rounded mirror.  Each computed C
+    is within E/1.05 of its exact sum, and the 5% left of 2E covers the
+    roundings of D and of the difference.
+    """
+    return (2.0 * _rounding_bound(band, arr)
+            + capacity_slope_bound(band, arr) * 2.0 ** -52 * (abs(psi) + abs(mirror)))
+
+
 def capacity_nbs(psi_f: ArrayLike, psi: ArrayLike, band: BandConfig,
                  arr: ArrayConfig) -> float | np.ndarray:
     """Capacity without squint: every subcarrier sees the carrier pattern.

@@ -17,9 +17,9 @@ is found by the bracketed secant solver of :mod:`beamsquint.roots`, on the
 side of the root where the beam meets c_t exactly.  The band pairs each
 subcarrier ratio xi with 2 - xi and the gain is even in its offset, so
 C(2*psi - f, psi) = C(f, psi): each focus is the previous one mirrored
-about their shared edge, and each focus solve but the even chain's first
-starts there.  Each right edge starts from a root and slope extrapolated
-from the chain's earlier edges, so most solves take two capacity
+about their shared edge, taken unsolved where a rounding margin proves
+it.  Each right edge starts from a root and slope extrapolated from the
+chain's earlier edges, so most edge solves take two capacity
 evaluations.  Nothing is carried from one chain to the next, so a
 parity's beams do not depend on which parity is built first.
 The capacity at a solve's bracket start, C(psi, psi) at a focus or at a
@@ -48,10 +48,10 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .array_model import ArrayConfig
-from .capacity import (BandConfig, _max_offset_ratio, _on_focus_slope_bound,
-                       _require_finite_positive, _require_visible, _sign_margin,
-                       beamwidth_nbs, capacity_bs, capacity_slope_bound,
-                       capacity_threshold, gain_region)
+from .capacity import (BandConfig, _max_offset_ratio, _mirror_margin,
+                       _on_focus_slope_bound, _require_finite_positive,
+                       _require_visible, _sign_margin, beamwidth_nbs, capacity_bs,
+                       capacity_slope_bound, capacity_threshold, gain_region)
 from .errors import ConfigError, DomainError, InfeasibleError
 from .roots import bisect
 
@@ -213,9 +213,13 @@ def solve_focus_from_left(psi_l: float, c_t: float, band: BandConfig,
     focus = bisect(lambda pf: capacity_bs(pf, psi_l, band, arr) - c_t,
                    psi_l, psi_l + half, guess, good_proved=abs(psi_l) <= reach)
     if focus is None:
-        raise InfeasibleError(
-            f"no focus can deliver the threshold at left edge {psi_l}", psi_l)
+        raise _no_focus(psi_l)
     return focus
+
+
+def _no_focus(psi_l: float) -> InfeasibleError:
+    return InfeasibleError(f"no focus can deliver the threshold at left edge {psi_l}",
+                           psi_l)
 
 
 class _Track:
@@ -302,29 +306,43 @@ def _extrapolate(ys: Sequence[float], order: int) -> float:
     return sum((-1) ** (k - 1 - i) * math.comb(k, i) * y for i, y in enumerate(ys))
 
 
-def _grow_chain(start_right: float, edges: _Track, psi_m: float, c_t: float,
+def _grow_chain(start: Beam | None, edges: _Track, psi_m: float, c_t: float,
                 band: BandConfig, arr: ArrayConfig, reach: float) -> list[Beam]:
-    """Chain beams rightward from ``start_right`` until psi_m is covered.
+    """Chain beams rightward from the beam ``start`` (from 0 when it is
+    None) until psi_m is covered.
 
     ``edges`` is the chain's :class:`_Track`: empty for the even parity,
-    holding the centre beam's edge (``start_right``) for the odd.  By the
-    mirror identity of the module docstring a focus lies as far right of
-    its left edge as the previous edge lies right of its focus, so each
-    focus solve probes the left edge plus the last offset on ``edges``;
-    the even chain's first uses the full bracket, whose end it is.  Each
-    edge solve probes the root and Newton point that ``edges`` predicts
-    (see :func:`~beamsquint.roots.bisect`).  Each parity starts its own
+    holding the odd centre beam's edge.  Each focus is the previous one
+    mirrored about their shared edge, 2*left - focus (see the module
+    docstring), taken with no capacity evaluation when the last edge
+    solve's good end ``left`` clears c_t by
+    :func:`~beamsquint.capacity._mirror_margin` and every offset at both
+    foci is at most 1: the computed C(mirror, left) then meets c_t, and the
+    mirror lies within TOL of the crossing, on the edge's side.  Otherwise
+    the focus is solved from a probe at left plus the last offset on
+    ``edges`` (the even chain's first from the full bracket, whose end it
+    is).  Either way the chain fails where C(left, left) < c_t, evaluated
+    unless |left| is within ``reach``.  Each edge solve probes the root and
+    Newton point that ``edges`` predicts.  Each parity starts its own
     record, so its beams are the same bits whichever parity is built
     first, and an :func:`estimate_bsup` probe's verdict is that of a full
-    design.  Solves whose bracket starts within ``reach`` skip the
-    capacity there, see :func:`solve_right_edge`.
+    design.
     """
     out: list[Beam] = []
-    right = start_right
+    focus, right = (start.focus, start.right) if start else (math.nan, 0.0)
     while right < psi_m:
         left = right
-        guess = left + edges.offsets[-1] if edges.offsets else None
-        focus = solve_focus_from_left(left, c_t, band, arr, guess=guess, reach=reach)
+        mirror = 2.0 * left - focus
+        x, excess = edges.ends.get(True, (None, -math.inf))
+        offsets = [xi * left - f for xi in band.ratios[[0, -1]] for f in (focus, mirror)]
+        if (x == left and excess >= _mirror_margin(left, mirror, band, arr)
+                and max(map(abs, offsets)) <= 1.0):
+            if abs(left) > reach and capacity_bs(left, left, band, arr) < c_t:
+                raise _no_focus(left)
+            focus = mirror
+        else:
+            guess = left + edges.offsets[-1] if edges.offsets else None
+            focus = solve_focus_from_left(left, c_t, band, arr, guess=guess, reach=reach)
         edge = solve_right_edge(focus, c_t, band, arr, track=edges, reach=reach)
         if edge - left < _MIN_BEAM_WIDTH:
             raise InfeasibleError(
@@ -428,27 +446,28 @@ def _proved_infeasible(psi_m: float, c_t: float, band: BandConfig,
     solve; False when no proof is found in ``_PROOF_POINTS`` capacity
     evaluations, and then the chains decide.
 
-    Every chain beam is at most bw = ``beamwidth_nbs(c_t)`` wide: a focus
-    solve brackets its root in [l, l + bw/2] and an edge solve in [f, f +
-    bw/2].  A chain grows from a left edge l_1 in [0, bw/2] (0 for the
-    even parity, the odd centre beam's right edge) while its right edge is
-    below psi_m, so its last left edge l_K lies in [psi_m - bw, psi_m),
-    widened below by 1e-15 for the two roundings of l + bw/2 and f + bw/2
-    (values below 3, each off by at most 2.2e-16), and not below 0.  When
-    the odd centre beam alone reaches psi_m, psi_m <= bw/2 and its focus 0
-    stands for l_K; the interval then holds 0.  A chain that gets as far
-    as l_K solves the focus from l_K, which evaluates C(l_K, l_K) - c_t
-    unless |l_K| is within :func:`_certified_reach`, where C(psi, psi) >=
-    c_t is proved, and raises InfeasibleError when it is negative.  So if
-    the computed C(psi, psi) < c_t at every psi of [lo, psi_m], both
-    parities fail: at l_K, or before it for another reason.  This encodes
-    the focus solve's present failure rule; a change to that solve must
-    change this proof with it.
+    Every chain beam is at most bw = ``beamwidth_nbs(c_t)`` wide, up to
+    rounding: an edge solve brackets its root in [f, f + bw/2], a focus
+    solve in [l, l + bw/2], and a mirrored focus 2*l - f lies as far right
+    of l as l, the edge solved from f, lies right of f.  A chain grows from
+    a left edge l_1 in [0, bw/2] (0 for the even parity, the odd centre
+    beam's right edge) while its right edge is below psi_m, so its last
+    left edge l_K lies in [psi_m - bw, psi_m), widened below by 1e-15 for
+    the roundings of f + bw/2 (twice) and of l + bw/2 or 2*l - f (values
+    below 3, each off by at most 2.2e-16), and not below 0.  When the odd
+    centre beam alone reaches psi_m, psi_m <= bw/2 and its focus 0 stands
+    for l_K; the interval then holds 0.  A chain that gets as far as l_K
+    takes its focus from l_K, solved or mirrored, which evaluates C(l_K,
+    l_K) - c_t unless |l_K| is within :func:`_certified_reach`, where
+    C(psi, psi) >= c_t is proved, and raises InfeasibleError when it is
+    negative.  So if the computed C(psi, psi) < c_t at every psi of [lo,
+    psi_m], both parities fail: at l_K, or before it for another reason.
+    This encodes the chain's present failure rule at a left edge; a change
+    to that rule must change this proof with it.
 
-    The interval is halved as in :func:`_screen_runs`, one batched
-    capacity call per level.  A piece with computed midpoint m, and h the
-    larger distance from m to its ends, is proved when C(m, m) + S*h is
-    below c_t - M, with S from
+    The interval is halved, one batched capacity call per level.  A piece
+    with computed midpoint m, and h the larger distance from m to its ends,
+    is proved when C(m, m) + S*h is below c_t - M, with S from
     :func:`~beamsquint.capacity._on_focus_slope_bound` and M from
     :func:`~beamsquint.capacity._sign_margin`, whose lemma then puts the
     computed C(psi, psi) below c_t on the whole piece, off the main lobe
@@ -488,11 +507,11 @@ def _codebook(parity: str, psi_m: float, c_t: float, band: BandConfig,
     mirrored about broadside: for the odd size from the right edge of a
     beam centred on broadside, for the even size from 0, so that pairs
     straddle broadside."""
-    start, centre, edges = 0.0, [], _Track()
+    centre, edges = [], _Track()
     if parity == "odd":
-        start = solve_right_edge(0.0, c_t, band, arr, track=edges, reach=reach)
-        centre = [Beam(0.0, 0.0 - start, start)]
-    chain = _grow_chain(start, edges, psi_m, c_t, band, arr, reach)
+        edge = solve_right_edge(0.0, c_t, band, arr, track=edges, reach=reach)
+        centre = [Beam(0.0, 0.0 - edge, edge)]
+    chain = _grow_chain(centre[0] if centre else None, edges, psi_m, c_t, band, arr, reach)
     # 0.0 - x rather than -x keeps a 0.0 edge from turning into -0.0.
     mirrored = [Beam(0.0 - b.focus, 0.0 - b.right, 0.0 - b.left) for b in reversed(chain)]
     return Codebook(beams=tuple(mirrored + centre + chain), psi_m=psi_m, c_t=c_t)
@@ -522,18 +541,19 @@ def coverage_check(cb: Codebook, band: BandConfig, arr: ArrayConfig,
 
     Every point is first tested against the beam with the nearest focus (a
     speed heuristic only).  A run of points with the same nearest beam
-    passes without being evaluated when the capacity at its midpoint,
-    less :func:`~beamsquint.capacity.capacity_slope_bound` times its
-    half-width, clears the floor by M of
-    :func:`~beamsquint.capacity._sign_margin` and every offset on the run
-    is at most 1; runs that cannot be proved are halved, and runs of at
-    most ``_DIRECT_POINTS`` points are evaluated point by point.  A point
-    passes only where the floor is proved or computed, so by M's lemma the
-    verdict equals a point-by-point check at every SNR.  The points that
-    fail are tested against every beam, up to ``_FALLBACK_POINTS`` points
-    per call, and the first point that no beam covers ends the check.  The
-    check depends only on the codebook and the model, never on a solver
-    tolerance.
+    passes when the capacity at its middle point, less
+    :func:`~beamsquint.capacity.capacity_slope_bound` times h, the larger
+    distance from that point to the run's ends (at most 1), clears the
+    floor by M of :func:`~beamsquint.capacity._sign_margin` and every
+    offset on the run is at most 1; the points either side of an unproved
+    run's middle form two runs, and runs of at most ``_DIRECT_POINTS``
+    points are evaluated point by point, so no point is evaluated twice.
+    A point passes only where the floor is proved or computed, so by M's
+    lemma the verdict equals a point-by-point check at every SNR.  The
+    points that fail are tested against every beam, up to
+    ``_FALLBACK_POINTS`` points per call, and the first point that no beam
+    covers ends the check.  The check depends only on the codebook and the
+    model, never on a solver tolerance.
     """
     grid = _coverage_grid(cb.psi_m, grid_step)
     foci = np.array([beam.focus for beam in cb.beams])
@@ -554,10 +574,12 @@ def _screen_runs(grid: np.ndarray, focus: np.ndarray, floor: float, c_t: float,
                  band: BandConfig, arr: ArrayConfig) -> np.ndarray:
     """Mask of the grid points whose own ``focus`` misses ``floor``.
 
-    Bisects each run of equal foci until it is proved by the slope bound
-    or short enough to evaluate; each level is one batched capacity call.
-    A run's largest offset xi*psi - focus, as capacity_bs computes it, sits
-    at one of its two ends and one of the two outer subcarriers.
+    Evaluates each run of equal foci at its middle point, which is then
+    checked, and splits a run the slope bound does not prove into the
+    points on either side until runs are short enough to evaluate; each
+    level is one batched capacity call.  A run's largest offset xi*psi -
+    focus, as capacity_bs computes it, sits at one of its two ends and one
+    of the two outer subcarriers.
     """
     slope = capacity_slope_bound(band, arr)
     margin = floor + _sign_margin(c_t, band, arr)
@@ -570,17 +592,17 @@ def _screen_runs(grid: np.ndarray, focus: np.ndarray, floor: float, c_t: float,
         points = lo[short, np.newaxis] + np.arange(_DIRECT_POINTS)
         points = points[points < hi[short, np.newaxis]]
         lo, hi = lo[~short], hi[~short]
-        first, last = grid[lo], grid[hi - 1]
-        caps = capacity_bs(np.concatenate((focus[points], focus[lo])),
-                           np.concatenate((grid[points], 0.5 * (first + last))),
-                           band, arr)
-        missed[points] = caps[:len(points)] < floor
-        ends = np.multiply.outer(band.ratios[[0, -1]], (first, last)) - focus[lo]
-        unproved = ((np.abs(ends).max(axis=(0, 1)) > 1.0)
-                    | (caps[len(points):] - slope * (0.5 * (last - first)) < margin))
-        lo, hi = lo[unproved], hi[unproved]
         mid = (lo + hi) // 2
-        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        points = np.concatenate((points, mid))
+        caps = capacity_bs(focus[points], grid[points], band, arr)
+        missed[points] = caps < floor
+        first, centre, last = grid[lo], grid[mid], grid[hi - 1]
+        h = np.maximum(centre - first, last - centre)
+        ends = np.multiply.outer(band.ratios[[0, -1]], (first, last)) - focus[lo]
+        unproved = ((np.abs(ends).max(axis=(0, 1)) > 1.0) | (h > 1.0)
+                    | (caps[len(points) - len(mid):] - slope * h < margin))
+        lo, hi, mid = lo[unproved], hi[unproved], mid[unproved]
+        lo, hi = np.concatenate((lo, mid + 1)), np.concatenate((mid, hi))
     return missed
 
 

@@ -114,3 +114,17 @@ def long_double_capacity(psi_f, psi, band, n: int) -> np.ndarray:
     safe = np.where(den == 0, ld(1), den)
     g2 = np.where(den == 0, ld(n), (np.sin(n * pi * x / 2) / safe) ** 2 / n)
     return (ld(band.bandwidth) / band.n_f * np.log2(1 + ld(band.snr) * g2).sum(axis=-1))
+
+
+def pair_asymmetry(ratios: np.ndarray) -> float:
+    """max |xi_k + xi_{n-1-k} - 2| over a subcarrier grid's pairs, exactly.
+
+    Each pair's sum s is split into its rounded value and its exact error
+    (Knuth's two-sum); s - 2 is exact (Sterbenz), and so is its sum with
+    the error, a small multiple of the pair's smaller ulp.
+    """
+    x, y = ratios, ratios[::-1]
+    s = x + y
+    t = s - x
+    error = (x - (s - t)) + (y - t)
+    return float(np.max(np.abs((s - 2.0) + error)))

@@ -2,11 +2,12 @@ import gc
 import math
 import threading
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import beamsquint
@@ -18,7 +19,7 @@ from beamsquint import (ArrayConfig, BandConfig, ConfigError, DomainError,
 from beamsquint import capacity
 from beamsquint.capacity import MIN_REGION_R, _capacity_rows, capacity_slope_bound
 
-from oracles import ref_capacity_bs, ref_halfwidth
+from oracles import pair_asymmetry, ref_capacity_bs, ref_halfwidth
 
 SQRT2_OVER_2 = math.sqrt(2.0) / 2.0
 
@@ -277,25 +278,34 @@ class TestCapacitySlopeBound:
 
 class TestMirrorIdentity:
     @settings(derandomize=True, deadline=None, max_examples=300)
-    @given(n=st.integers(8, 1024), b=st.floats(1e-3, 1.5), pairs=st.integers(1, 1024),
-           snr_db=st.sampled_from([-20.0, 0.0, 3.0, 30.0]),
+    @given(n=st.integers(2, 1024), b=st.one_of(st.just(0.0), st.floats(1e-3, 1.5)),
+           pairs=st.integers(1, 1024), snr_db=st.sampled_from([-20.0, 0.0, 3.0, 30.0]),
            psi=st.floats(-1.0, 1.0), share=st.floats(-1.0, 1.0))
     def test_focus_mirrored_about_the_angle_gives_the_same_capacity(
             self, n, b, pairs, snr_db, psi, share):
         # The band pairs each ratio xi with 2 - xi and the gain is even in
         # its offset, so C(2*psi - f, psi) = C(f, psi) for the exact sum;
-        # the computed values differ by at most 2E, plus the slope bound
-        # times the pairs' asymmetry |xi + xi' - 2|*|psi| and the rounding
-        # of 2*psi - f.  f lies within 2/N of psi, so every offset is at
-        # most 2/N + b/2 <= 1, where E is proved.
+        # the computed values differ by at most the mirror margin, with the
+        # pairs' asymmetry at its proved bound, wherever every offset at
+        # both foci is at most 1.
         arr, band = ArrayConfig(n), BandConfig(b=b, n_f=2 * pairs, snr=10 ** (snr_db / 10))
         f = psi - share * 2.0 / n
         mirror = 2.0 * psi - f
-        asymmetry = float(np.max(np.abs(band.ratios + band.ratios[::-1] - 2.0)))
-        allowed = (2.0 * capacity._rounding_bound(band, arr) + capacity_slope_bound(band, arr)
-                   * (asymmetry * abs(psi) + 2.0 ** -52 * abs(mirror)))
-        assert abs(capacity_bs(mirror, psi, band, arr)
-                   - capacity_bs(f, psi, band, arr)) <= allowed
+        offsets = np.subtract.outer(band.ratios[[0, -1]] * psi, [f, mirror])
+        assume(np.max(np.abs(offsets)) <= 1.0)
+        assert abs(capacity_bs(mirror, psi, band, arr) - capacity_bs(f, psi, band, arr)) \
+            <= capacity._mirror_margin(psi, mirror, band, arr)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(b=st.one_of(st.just(0.0), st.floats(0.0, 2.0, exclude_max=True)),
+           pairs=st.integers(1, 1024))
+    def test_pairs_sum_to_two_within_the_proved_asymmetry(self, b, pairs):
+        # |xi_k + xi_{n-1-k} - 2| <= 2**-52 exactly, as the margin assumes;
+        # the suite's conftest checks the same of every band a test builds.
+        ratios = BandConfig(b=b, n_f=2 * pairs, snr=1.0).ratios
+        exact = max(abs(Fraction(x) + Fraction(y) - 2) for x, y in zip(ratios, ratios[::-1]))
+        assert exact <= Fraction(2) ** -52
+        assert pair_asymmetry(ratios) == exact
 
 
 class TestCapacityNbs:

@@ -116,9 +116,11 @@ class TestDesignCommand:
         band = BandConfig.from_hz(2.5e9, 73e9, n_f=2048, snr=1.0)
         arr = ArrayConfig(128)
         report = assess_feasibility(1.0, capacity_threshold(R_3DB, band, arr), band, arr)
-        # The report names both sizes' failing foci too.
-        assert (report.failing_focus, report.even_focus) == (0.6786677106758415,
-                                                             0.6786836486070987)
+        # The report names both sizes' failing foci too: each chain's last
+        # focus, mirrored from the one before, whose edge solve finds
+        # C(f, f) < c_t.
+        assert (report.failing_focus, report.even_focus) == (0.67866771048816,
+                                                             0.6786836485493937)
         with pytest.raises(InfeasibleError) as exc:
             design_codebook(1.0, capacity_threshold(R_3DB, band, arr), band, arr)
         odd, even = exc.value.failing_focus, exc.value.even_focus

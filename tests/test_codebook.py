@@ -48,6 +48,19 @@ def design_counts(arr, band, monkeypatch):
     return size, counts["solves"], counts["capacity"]
 
 
+def recording_focus_solves(monkeypatch):
+    """The left edges, in order, from which the chains go on to solve a
+    focus."""
+    solved = []
+
+    def solve(psi_l, *args, **kwargs):
+        solved.append(psi_l)
+        return solve_focus_from_left(psi_l, *args, **kwargs)
+
+    monkeypatch.setattr(codebook, "solve_focus_from_left", solve)
+    return solved
+
+
 def threshold(band, arr, r=SQRT2_OVER_2):
     return capacity_threshold(r, band, arr)
 
@@ -211,25 +224,26 @@ class TestDesignCodebook:
                 assert capacity_bs(beam.focus, beam.right + 1e-5, band, arr) < c_t
 
     def test_paper_design_solves_on_predicted_brackets(self, monkeypatch):
-        # The paper's N=64 design, 2.5 GHz at 73 GHz and 0 dB: 169 solves
-        # over both chains.  Starting each focus at the previous focus
-        # mirrored about their shared edge, each edge at a root and slope
-        # extrapolated from the chain's earlier edges, and proving the
-        # capacity at each bracket's start once per design, takes 368
-        # capacity evaluations; extrapolating the foci like the edges took
-        # 399, and the full brackets 1,306.
+        # The paper's N=64 design, 2.5 GHz at 73 GHz and 0 dB: 87 solves
+        # over both chains.  Taking each focus as the previous focus
+        # mirrored about their shared edge where the rounding margin proves
+        # it, each edge from a root and slope extrapolated from the chain's
+        # earlier edges, and proving the capacity at each bracket's start
+        # once per design, takes 204 capacity evaluations; solving each
+        # focus from that mirror took 368 (169 solves), extrapolating the
+        # foci like the edges 399, and the full brackets 1,306.
         arr = ArrayConfig(64)
         band = BandConfig.from_hz(2.5e9, 73e9, n_f=2048, snr=1.0)
         size, solves, calls = design_counts(arr, band, monkeypatch)
-        assert (size, solves) == (84, 169)
-        assert calls <= 380
+        assert (size, solves) == (84, 87)
+        assert calls <= 210
 
     @pytest.mark.parametrize("n, bn, size, solves, budget", [
-        (128, 2.19, 167, 335, 720),  # 697; 725 with extrapolated foci
-        (16, 1.5, 19, 39, 131),      # 127; 177 with extrapolated foci
-        # Infeasible, both chains ending at foci past endfire: 109; 180
-        # with extrapolated foci, whose last solves missed their Newton points.
-        (8, 3.0755, None, 29, 113),
+        (128, 2.19, 167, 169, 375),  # 365; 697 with every focus solved
+        (16, 1.5, 19, 21, 95),       # 91; 127 with every focus solved
+        # Infeasible, both chains ending at foci past endfire: 83; 109 with
+        # every focus solved.
+        (8, 3.0755, None, 16, 87),
     ])
     def test_chain_designs_keep_their_call_budgets(self, n, bn, size, solves, budget,
                                                    monkeypatch):
@@ -242,20 +256,81 @@ class TestDesignCodebook:
         (64, BandConfig.from_hz(2.5e9, 73e9, n_f=2048, snr=1.0)),
         (8, band_for(3.0 / 8)),
         (8, band_for(3.0 / 8, snr=10 ** 0.3)),
+        (128, band_for(2.19 / 128, n_f=256)),
     ])
-    def test_each_focus_mirrors_the_previous_about_their_shared_edge(self, n, band):
+    def test_each_focus_mirrors_the_previous_about_their_shared_edge(self, n, band,
+                                                                     monkeypatch):
         # C(2*psi - f, psi) = C(f, psi), so the focus whose coverage starts
         # at the previous beam's right edge is the previous focus mirrored
-        # about it; both are solved to TOL, and each focus solve starts there.
+        # about it.  Every focus but the even chain's first is that mirror,
+        # bit for bit, except where the rounding margin does not prove it
+        # and the focus is solved; the mirror meets c_t at the left edge
+        # and lies within TOL of the focus solved there.
         arr = ArrayConfig(n)
         c_t = capacity_threshold_3db(band, arr)
+        solved = recording_focus_solves(monkeypatch)
         books = [cb for cb in codebook._parities(1.0, c_t, band, arr)
                  if isinstance(cb, Codebook)]
         assert books
         for cb in books:
+            mirrored = 0
             for prev, beam in zip(cb.beams, cb.beams[1:]):
                 assert beam.left == prev.right
-                assert abs(beam.focus - (beam.left + (prev.right - prev.focus))) <= TOL
+                if beam.left in solved or beam.focus <= 0.0:
+                    continue
+                mirrored += 1
+                assert beam.focus == 2.0 * beam.left - prev.focus
+                assert capacity_bs(beam.focus, beam.left, band, arr) >= c_t
+                root = solve_focus_from_left(beam.left, c_t, band, arr)
+                assert abs(beam.focus - root) <= TOL
+            assert mirrored >= cb.size // 2 - 2
+
+    @pytest.mark.parametrize("n, bn, snr, r", [
+        (64, 2.5 * 64 / 73, 1.0, SQRT2_OVER_2), (16, 1.5, 1.0, SQRT2_OVER_2),
+        (8, 3.0755, 1.0, SQRT2_OVER_2), (8, 3.0755, 10 ** 0.3, 0.5),
+        (42, 3.0, 1.0, SQRT2_OVER_2), (8, 6.0, 1.0, 0.5), (32, 5.0, 1.0, 0.4),
+    ])
+    def test_solving_every_focus_gives_the_same_designs(self, n, bn, snr, r, monkeypatch):
+        # With a margin no excess clears, every focus is solved from its
+        # left edge, and the designs keep their sizes, verdicts and
+        # failures, with beams and failing foci within N*TOL (each mirrored
+        # focus lies within TOL of the solved one, a chain carries the
+        # difference outward, and these chains hold fewer than N beams).
+        arr, band = ArrayConfig(n), band_for(bn / n, snr=snr)
+        c_t = threshold(band, arr, r)
+        mirrored = list(codebook._parities(1.0, c_t, band, arr))
+        monkeypatch.setattr(codebook, "_mirror_margin", lambda *args: math.inf)
+        solved = list(codebook._parities(1.0, c_t, band, arr))
+        for a, b in zip(mirrored, solved):
+            assert type(a) is type(b)
+            if isinstance(a, Codebook):
+                assert a.size == b.size
+                got = np.array([(x.focus, x.left, x.right) for x in a.beams])
+                want = np.array([(x.focus, x.left, x.right) for x in b.beams])
+                assert np.max(np.abs(got - want)) <= n * TOL
+            else:
+                assert str(a).replace(str(a.failing_focus), "") == \
+                    str(b).replace(str(b.failing_focus), "")
+                assert abs(a.failing_focus - b.failing_focus) <= n * TOL
+
+    def test_left_edge_past_reach_below_threshold_raises_there(self, monkeypatch):
+        # N=8 at b*N 6, r 0.5 and 0 dB: the mirror at the even chain's last
+        # left edge is proved, but that edge lies past the reach and C(l, l)
+        # < c_t there, so the chain fails at it, as a focus solve from it
+        # would, without solving a focus there.
+        arr, band = ArrayConfig(8), band_for(6.0 / 8)
+        c_t = threshold(band, arr, 0.5)
+        reach = codebook._certified_reach(1.0, c_t, band, arr)
+        solved = recording_focus_solves(monkeypatch)
+        with pytest.raises(InfeasibleError) as err:
+            codebook._codebook("even", 1.0, c_t, band, arr, reach)
+        left = err.value.failing_focus
+        assert str(err.value) == f"no focus can deliver the threshold at left edge {left}"
+        assert left > reach and capacity_bs(left, left, band, arr) < c_t
+        assert left not in solved
+        with pytest.raises(InfeasibleError) as err:
+            solve_focus_from_left(left, c_t, band, arr, reach=reach)
+        assert err.value.failing_focus == left
 
     def test_odd_bookkeeping_counts_centre_plus_pairs(self):
         arr = ArrayConfig(16)
@@ -430,7 +505,23 @@ class TestCoverageScreen:
     its verdict must equal the point-by-point reference in every case."""
 
     def same_verdict(self, cb, band, arr, step, expected):
-        assert coverage_check(cb, band, arr, grid_step=step) is expected
+        # The screen also evaluates no grid point twice, so at most the grid.
+        screened = [0]
+        runs = codebook._screen_runs
+
+        def counting(psi_f, psi, *rest):
+            screened[0] += np.broadcast(np.asarray(psi_f), np.asarray(psi)).size
+            return capacity_bs(psi_f, psi, *rest)
+
+        def screen(*args):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(codebook, "capacity_bs", counting)
+                return runs(*args)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(codebook, "_screen_runs", screen)
+            assert coverage_check(cb, band, arr, grid_step=step) is expected
+        assert 0 < screened[0] <= len(_coverage_grid(cb.psi_m, step))
         assert exhaustive_coverage_check(cb, band, arr, step) is expected
 
     @pytest.mark.parametrize("n", [16, 32, 64])
@@ -480,12 +571,9 @@ class TestCoverageScreen:
                               psi_m=cb.psi_m, c_t=cb.c_t)
             self.same_verdict(pruned, band, arr, 1e-4, False)
 
-    def test_low_snr_screen_evaluates_fewer_points_than_the_grid(self, monkeypatch):
-        # At N*snr << 1 the slope bound's factor 2*snr*sqrt(N) is far below
-        # sqrt(snr), so the screen proves most runs: 4,920 evaluated points
-        # for the 20,001-point grid, where sqrt(snr) alone took 25,987.
-        n = 128
-        band = band_for(2.0 / n, n_f=256, snr=1e-8)
+    def screened_points(self, n, band, monkeypatch):
+        """Points coverage_check evaluates on the N-antenna 3 dB design for
+        ``band``, at step 1e-4; the design passes."""
         cb, arr = designed(n, band)
         points = [0]
 
@@ -495,7 +583,29 @@ class TestCoverageScreen:
 
         monkeypatch.setattr(codebook, "capacity_bs", counting)
         assert coverage_check(cb, band, arr, grid_step=1e-4)
-        assert points[0] < len(_coverage_grid(1.0, 1e-4)) == 20_001
+        assert len(_coverage_grid(1.0, 1e-4)) == 20_001
+        return points[0]
+
+    def test_low_snr_screen_evaluates_fewer_points_than_the_grid(self, monkeypatch):
+        # At N*snr << 1 the slope bound's factor 2*snr*sqrt(N) is far below
+        # sqrt(snr), so the screen proves most runs: 4,234 evaluated points
+        # for the 20,001-point grid (4,920 when each run's probe was an
+        # extra point, 25,987 with sqrt(snr) alone).
+        n = 128
+        assert self.screened_points(n, band_for(2.0 / n, n_f=256, snr=1e-8),
+                                    monkeypatch) <= 4_234
+
+    @pytest.mark.parametrize("n, band, most", [
+        # About 17 grid points a beam: every point is evaluated, once
+        # (23,639 when each run's probe was an extra point).
+        (1024, band_for(2.0 / 1024, n_f=256, snr=1e-6), 20_001),
+        # The scan workload's books, 2.5 GHz at 73 GHz and 0 dB (5,747 and
+        # 1,973 when each run's probe was an extra point).
+        (64, band_for(2.5 / 73), 5_136),
+        (32, band_for(2.5 / 73), 1_904),
+    ], ids=["n1024-low-snr", "n64-scan", "n32-scan"])
+    def test_screen_evaluates_each_point_at_most_once(self, n, band, most, monkeypatch):
+        assert self.screened_points(n, band, monkeypatch) <= most
 
     @pytest.mark.parametrize("expected", [True, False])
     def test_offsets_past_one(self, expected):
