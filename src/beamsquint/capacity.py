@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -37,6 +38,12 @@ _REL_TOL = 1e-12
 # floats (512 KiB, 32 angles at 2048 subcarriers), so that the few
 # temporaries alive at once stay in a core's L2 cache.
 _BLOCK_ELEMENTS = 1 << 16
+
+# Gauss-Legendre nodes of _capacity_model.  At the right edges of designs
+# with b*N up to 3.05, at 0 and 3 dB and 2048 subcarriers, 16 reproduce
+# capacity_bs within 1.1e-11 relative and put each edge within TOL/25 of
+# the capacity's; 12 miss by up to 16*TOL, and 20 reach 6e-14.
+_MODEL_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -257,21 +264,111 @@ def _sign_margin(c_t: float, band: BandConfig, arr: ArrayConfig) -> float:
         c_t + 8.0 * capacity_slope_bound(band, arr))
 
 
-def _mirror_margin(psi: float, mirror: float, band: BandConfig, arr: ArrayConfig) -> float:
-    """Margin D = 2E + L*(a*|psi| + 2**-52*|mirror|), a = 2**-52: where |psi|
-    <= 1 and every computed offset at both foci is at most 1, a computed
-    C(f, psi) - level >= D proves the computed C(mirror, psi) >= level,
-    ``mirror`` the computed 2*psi - f.  Proof: subcarrier_grid forms
-    +-delta as exact negatives and rounds 1 +- delta once each, within
-    2**-53 and 2**-54, so a bounds every |xi_k + xi_{n-1-k} - 2|.  The gain
-    is even, so term k at focus 2*psi - f is term n-1-k at f, its offset
-    moved by at most a*|psi|: the exact sums differ by at most L*a*|psi|,
-    and by L*2**-52*|mirror| more at the rounded mirror.  Each computed C
-    is within E/1.05 of its exact sum, and the 5% left of 2E covers the
-    roundings of D and of the difference.
+def _mirror_margin(band: BandConfig, arr: ArrayConfig) -> Callable[[float, float], float]:
+    """Margin D(psi, mirror) = 2E + L*(a*|psi| + 2**-52*|mirror|), a =
+    2**-52, with 2E and L*2**-52 computed once per band and array: where
+    |psi| <= 1 and every computed offset at both foci is at most 1, a
+    computed C(f, psi) - level >= D proves the computed C(mirror, psi) >=
+    level, ``mirror`` the computed 2*psi - f.  Proof: subcarrier_grid
+    forms +-delta as exact negatives and rounds 1 +- delta once each,
+    within 2**-53 and 2**-54, so a bounds every |xi_k + xi_{n-1-k} - 2|.
+    The gain is even, so term k at focus 2*psi - f is term n-1-k at f, its
+    offset moved by at most a*|psi|: the exact sums differ by at most
+    L*a*|psi|, and by L*2**-52*|mirror| more at the rounded mirror.  Each
+    computed C is within E/1.05 of its exact sum, and the 5% left of 2E
+    covers the roundings of D and of the difference.
     """
-    return (2.0 * _rounding_bound(band, arr)
-            + capacity_slope_bound(band, arr) * 2.0 ** -52 * (abs(psi) + abs(mirror)))
+    two_e = 2.0 * _rounding_bound(band, arr)
+    slope = capacity_slope_bound(band, arr) * 2.0 ** -52
+    return lambda psi, mirror: two_e + slope * (abs(psi) + abs(mirror))
+
+
+@lru_cache(maxsize=1)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes T of the ``_MODEL_NODES``-point Gauss-Legendre rule on [-1,
+    1], followed by the ends -1 and 1, with weights W (half the rule's, so
+    they sum to 1; 0 at the two ends) and W*T, all read-only.  Newton's
+    method on the three-term recurrence of the Legendre polynomials finds
+    the nodes."""
+    m = _MODEL_NODES
+    t = np.cos(math.pi * (np.arange(m) + 0.75) / (m + 0.5))
+    for _ in range(100):
+        p, q = np.ones(m), t.copy()
+        for k in range(2, m + 1):
+            p, q = q, ((2 * k - 1) * t * q - (k - 1) * p) / k
+        slope = m * (t * q - p) / (t * t - 1.0)
+        step = q / slope
+        t = t - step
+        if np.abs(step).max() < 1e-15:
+            break
+    w = np.concatenate((1.0 / ((1.0 - t * t) * slope * slope), (0.0, 0.0)))
+    t = np.concatenate((t, (-1.0, 1.0)))
+    rule = t, w, w * t
+    for a in rule:
+        a.flags.writeable = False  # shared by every caller
+    return rule
+
+
+def _log_gain(u: np.ndarray, n: int, snr: float) -> tuple[np.ndarray, ...]:
+    """g = log2(1 + snr*G^2) at offsets x = 2*u/pi, with its first two
+    derivatives in x.
+
+    G^2 = D(u)^2/N for D(u) = sin(N*u)/sin(u), whose square has period
+    pi.  D' = (N*cos(N*u) - D*cos(u))/sin(u) and, from sin(N*u) =
+    D*sin(u), D'' = (1 - N^2)*D - 2*D'*cot(u).  These cancel where
+    |N*sin(u)| < 5e-3, near u = k*pi, so there the Taylor terms of D =
+    sum_j cos(m_j*v) over m_j = N-1-2j at v = u - k*pi replace them.
+    Where the two forms meet, each is within 4e-11 relative of D, D' and
+    D'', and no singular offset divides by zero.
+    """
+    t, c = np.sin(u), np.cos(u)
+    s, cn = np.sin(n * u), np.cos(n * u)
+    small = np.flatnonzero(np.abs(t) < 5e-3 / n)
+    t[small] = 1.0
+    d = s / t
+    d1 = (n * cn - d * c) / t
+    d2 = (1.0 - n * n) * d - 2.0 * d1 * c / t
+    if small.size:
+        v = u[small] - math.pi * np.rint(u[small] / math.pi)
+        w = v * v
+        s2 = n * (n * n - 1.0) / 3.0  # sum of m_j^2
+        s4 = s2 * (3.0 * n * n - 7.0) / 5.0  # sum of m_j^4
+        d[small] = n - w * (s2 / 2.0 - w * s4 / 24.0)
+        d1[small] = v * (w * s4 / 6.0 - s2)
+        d2[small] = w * s4 / 2.0 - s2
+    q = 1.0 + (snr / n) * (d * d)
+    p1 = d * d1  # (N/pi) * dG^2/dx
+    p2 = d1 * d1 + d * d2  # (2*N/pi^2) * d^2G^2/dx^2
+    scale = math.pi * snr / (n * math.log(2.0))
+    g2 = (0.5 * math.pi * scale) * (p2 - (2.0 * snr / n) * (p1 * p1) / q) / q
+    return np.log2(q), scale * p1 / q, g2
+
+
+def _capacity_model(psi_f: float, psi: float, band: BandConfig,
+                    arr: ArrayConfig) -> tuple[float, float]:
+    """A model of ``capacity_bs(psi_f, psi)`` and of its slope in psi, for
+    aiming a solver's probes; it never decides anything.
+
+    The squinted capacity averages g(x_k) = log2(1 + snr*G(x_k)^2) at x_k
+    = (1 + delta_k)*psi - psi_f, with delta_k the midpoints of n_f equal
+    cells of [-b/2, b/2], h = b/n_f wide.  By the Euler-Maclaurin formula
+    of the midpoint rule (Davis & Rabinowitz, Methods of Numerical
+    Integration, 2nd ed., ch. 2) that average is the mean of g over the
+    band, here by a ``_MODEL_NODES``-point Gauss-Legendre rule, less
+    (h^2/24)*psi*(g'(x_+) - g'(x_-))/b at the band's ends x_+- = psi -
+    psi_f +- psi*b/2, up to a term in h^4.  The slope differentiates the
+    same expression.
+    """
+    n, b, half_pi = arr.n_antennas, band.b, 0.5 * math.pi
+    t, w, wt = _gauss_legendre()
+    g, g1, g2 = _log_gain(half_pi * (psi - psi_f) + (half_pi * 0.5 * b * psi) * t,
+                          n, band.snr)
+    k = b / (24.0 * band.n_f * band.n_f)  # h^2/(24*b)
+    ends = float(g1[-1] - g1[-2])
+    value = float(np.dot(w, g)) - k * psi * ends
+    slope = float(np.dot(w, g1)) + 0.5 * b * float(np.dot(wt, g1)) - k * (
+        ends + psi * ((1.0 + 0.5 * b) * float(g2[-1]) - (1.0 - 0.5 * b) * float(g2[-2])))
+    return band.bandwidth * value, band.bandwidth * slope
 
 
 def capacity_nbs(psi_f: ArrayLike, psi: ArrayLike, band: BandConfig,

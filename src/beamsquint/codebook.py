@@ -18,10 +18,14 @@ side of the root where the beam meets c_t exactly.  The band pairs each
 subcarrier ratio xi with 2 - xi and the gain is even in its offset, so
 C(2*psi - f, psi) = C(f, psi): each focus is the previous one mirrored
 about their shared edge, taken unsolved where a rounding margin proves
-it.  Each right edge starts from a root and slope extrapolated from the
-chain's earlier edges, so most edge solves take two capacity
-evaluations.  Nothing is carried from one chain to the next, so a
-parity's beams do not depend on which parity is built first.
+it.  Each right edge is aimed at a root extrapolated from the chain's
+earlier edges where those extrapolations have been within TOL/10, and
+otherwise at the root of a model of the capacity
+(:func:`~beamsquint.capacity._capacity_model`), so that edge solves take
+two capacity evaluations from a chain's first beam.  The model only
+moves probes; brackets and verdicts come from the capacity alone.
+Nothing is carried from one chain to the next, so a parity's beams do
+not depend on which parity is built first.
 The capacity at a solve's bracket start, C(psi, psi) at a focus or at a
 left edge, is evaluated only where :func:`_certified_reach` does not prove
 its sign, so every result is the same bits.  When the capacity at a required
@@ -48,12 +52,12 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .array_model import ArrayConfig
-from .capacity import (BandConfig, _max_offset_ratio, _mirror_margin,
+from .capacity import (BandConfig, _capacity_model, _max_offset_ratio, _mirror_margin,
                        _on_focus_slope_bound, _require_finite_positive,
                        _require_visible, _sign_margin, beamwidth_nbs, capacity_bs,
                        capacity_slope_bound, capacity_threshold, gain_region)
 from .errors import ConfigError, DomainError, InfeasibleError
-from .roots import bisect
+from .roots import TOL, bisect
 
 # A solved beam narrower than this cannot make progress at the solver's
 # 1e-10 angular resolution; the design is declared infeasible.
@@ -82,16 +86,22 @@ _PROOF_POINTS = 16
 # that an uncovered point ends the check early, many enough to batch.
 _FALLBACK_POINTS = 8
 
-# Degrees of the polynomials in the beam index that extrapolate a chain's
-# right edges and the slopes of its edge solves at them.
+# Degree of the polynomial in the beam index that extrapolates a chain's
+# right edges.
 _ORDER = 6
-_SLOPE_ORDER = 2
-# A chain solve's second probe lands this many times the expected error of
-# its Newton point past that point.
-_SPREAD_GAIN = 4.0
-# Error assumed, as a share of the offset, for the first prediction of a
-# chain's edges, which repeats the first edge's offset.
-_FIRST_ERROR = 2.5e-3
+# An edge solve takes its chain's extrapolated edge as it is while the last
+# two extrapolations missed by at most this; otherwise it aims with the
+# capacity model.
+_TRUSTED = 0.1 * TOL
+# An aimed first probe lies this far on the good side of the predicted
+# edge, so that within this of the crossing it is good, the next probe
+# closes the bracket, and the good end clears the mirror margin.
+_SHIFT = 0.3 * TOL
+# Newton steps on the capacity model stop after a move below this (the
+# next is then negligible, or the model has no root in the bracket) or
+# after _NEWTON_STEPS steps.
+_NEWTON_STOP = 1e-6
+_NEWTON_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -165,9 +175,15 @@ def solve_right_edge(psi_f: float, c_t: float, band: BandConfig,
     the solver's end of that crossing where the capacity still meets c_t.
     With zero fractional bandwidth the edge sits exactly on the no-squint
     bracket boundary.  ``track``, a chain's record of its earlier edges
-    (see :class:`_Track`), predicts the edge and its slope for
-    :func:`~beamsquint.roots.bisect` and records this one; the edge meets
-    the same conditions with or without it.  ``reach`` is an angle such
+    (see :class:`_Track`), extrapolates the edge and records this one.
+    Where its last two extrapolations missed by at most ``_TRUSTED``,
+    :func:`~beamsquint.roots.bisect` probes ``_SHIFT`` inside the
+    extrapolated edge and ``_SHIFT`` past it; otherwise it probes
+    ``_SHIFT`` inside the root of the capacity model, and then past the
+    Newton point on the model's slope, see :func:`_aim`.  Either pair
+    closes the bracket when the prediction is within ``_SHIFT`` of the
+    crossing.  The edge meets the same conditions with or without a
+    track, and whatever the model says.  ``reach`` is an angle such
     that the capacity C(psi, psi) at a beam's own focus is proved to meet
     ``c_t`` for every |psi| <= reach, as :func:`_certified_reach` proves
     it; a focus within it spares the solver that evaluation, and the
@@ -179,15 +195,39 @@ def solve_right_edge(psi_f: float, c_t: float, band: BandConfig,
         If the capacity at the focus itself is already below ``c_t`` (the
         local signal that the fractional bandwidth is too large).
     """
-    half = beamwidth_nbs(c_t, band, arr) / 2.0
+    end = psi_f + beamwidth_nbs(c_t, band, arr) / 2.0
     track = track or _Track()
+    guess = track.predict(psi_f)
+    if track.trusted:
+        aim = guess - _SHIFT, 2.0 * _SHIFT, None
+    else:
+        aim = _aim(psi_f, end if guess is None else guess, end, c_t, band, arr)
     edge = bisect(track.watch(lambda psi: capacity_bs(psi_f, psi, band, arr) - c_t),
-                  psi_f, psi_f + half, *track.hint(psi_f), good_proved=abs(psi_f) <= reach)
+                  psi_f, end, *aim, good_proved=abs(psi_f) <= reach)
     if edge is None:
         raise InfeasibleError(
             f"capacity at focus {psi_f} is below the threshold", psi_f)
     track.observe(psi_f, edge)
     return edge
+
+
+def _aim(psi_f: float, psi: float, end: float, c_t: float, band: BandConfig,
+         arr: ArrayConfig) -> tuple[float, float, float]:
+    """A first probe, spread and slope for :func:`~beamsquint.roots.bisect`
+    on C(psi_f, psi) - c_t over [psi_f, end], from Newton steps on
+    :func:`~beamsquint.capacity._capacity_model` that start at ``psi`` and
+    stay in the bracket: the model's root moved ``_SHIFT`` toward the focus,
+    and the model's slope there."""
+    slope = math.nan
+    for _ in range(_NEWTON_STEPS):
+        value, slope = _capacity_model(psi_f, psi, band, arr)
+        step = (value - c_t) / slope if slope else math.nan
+        if not math.isfinite(step):
+            break
+        moved, psi = psi, min(max(psi - step, psi_f), end)
+        if abs(psi - moved) < _NEWTON_STOP:
+            break
+    return psi - _SHIFT, 0.0, slope
 
 
 def solve_focus_from_left(psi_l: float, c_t: float, band: BandConfig,
@@ -223,79 +263,56 @@ def _no_focus(psi_l: float) -> InfeasibleError:
 
 
 class _Track:
-    """The right edges along a chain, each from its beam's focus, and the
-    prediction of the next.
+    """The right edges along a chain, each as an offset from its beam's
+    focus, and how well each was extrapolated.
 
-    Each solve's final bracket gives the slope of its predicate, from the
-    bracket's two values, and its root, the secant point between them,
-    which unlike the bracket's quantised end is smooth along the chain.
-    The next root's offset from its base angle is extrapolated by the
-    polynomial through the last ``_ORDER + 1`` offsets, and its slope by
-    the one through the last ``_SLOPE_ORDER + 1`` slopes, each taken
-    against the beam index.  The spread is ``_SPREAD_GAIN`` times the
-    error expected of the Newton point: the larger of the last two
-    predictions' errors, times the larger of the last two Newton points'
-    errors as a share of their steps, so that a Newton miss widens the next
-    spreads.  Before a Newton point has been seen the share is 1, which
-    leaves the spread past the guess that a prediction alone would take.
-    The last offset also starts the next focus solve, see
+    Each solve's final bracket gives its root, the secant point between the
+    bracket's two values, which unlike the bracket's quantised end is
+    smooth along the chain.  The next root's offset is extrapolated by the
+    polynomial through the last ``_ORDER + 1`` offsets, taken against the
+    beam index; it is trusted while the last two extrapolations missed the
+    root by at most ``_TRUSTED``, and otherwise starts the Newton steps of
+    :func:`_aim`.  The last offset also starts a focus solve, see
     :func:`_grow_chain`.
     """
 
     def __init__(self):
         self.offsets: list[float] = []
-        self.slopes: list[float] = []
-        self.errors: list[float] = []  # of each prediction
-        self.shares: list[float] = []  # of each Newton point, per unit of its step
+        self.errors: list[float] = []  # of each extrapolation
         self.guess: float | None = None
-        self.slope = math.nan  # the slope predicted with the guess
-        self.at_guess = math.nan  # the predicate's value at the guess
         self.ends: dict[bool, tuple[float, float]] = {}
 
-    def hint(self, base: float) -> tuple[float | None, float, float]:
-        """The predicted root at ``base`` (``None`` before the first
-        root), the spread and the predicted slope."""
-        if not self.offsets:
-            return None, 0.0, math.nan
-        self.guess = base + _extrapolate(self.offsets, _ORDER)
-        self.slope = _extrapolate(self.slopes, _SLOPE_ORDER)
-        spread = (_SPREAD_GAIN * max(self.errors[-2:])
-                  * max(self.shares[-2:], default=1.0))
-        return self.guess, spread, self.slope
+    def predict(self, base: float) -> float | None:
+        """The extrapolated root at ``base``; ``None`` before the first."""
+        self.guess = base + _extrapolate(self.offsets, _ORDER) if self.offsets else None
+        return self.guess
+
+    @property
+    def trusted(self) -> bool:
+        return len(self.errors) >= 2 and max(self.errors[-2:]) <= _TRUSTED
 
     def watch(self, f: Callable[[float], float]) -> Callable[[float], float]:
-        """``f``, recording its value at the guess and the last value on
-        each side of zero: a bracketing solver evaluates only inside its
-        bracket and moves the end of the value's sign, so these are the
-        final bracket's ends."""
+        """``f``, recording the last value on each side of zero: a
+        bracketing solver evaluates only inside its bracket and moves the
+        end of the value's sign, so these are the final bracket's ends."""
         self.ends = {}
-        self.at_guess = math.nan
 
         def watched(x: float) -> float:
             value = f(x)
             self.ends[value >= 0.0] = (x, value)
-            if x == self.guess:
-                self.at_guess = value
             return value
         return watched
 
     def observe(self, base: float, root: float) -> None:
         """Record the root that the solve from ``base`` returned, with the
         values seen by :meth:`watch`."""
-        slope = math.nan
         if len(self.ends) == 2:
             (xg, fg), (xb, fb) = self.ends[True], self.ends[False]
             slope = (fb - fg) / (xb - xg)
             root = xg - fg / slope
-        if self.guess is None:
-            self.errors.append(_FIRST_ERROR * abs(root - base))
-        else:
+        if self.guess is not None:
             self.errors.append(abs(self.guess - root))
-            step = self.at_guess / self.slope if self.slope else math.nan
-            if step and math.isfinite(step):
-                self.shares.append(abs(self.guess - step - root) / abs(step))
         self.offsets.append(root - base)
-        self.slopes.append(slope)
 
 
 def _extrapolate(ys: Sequence[float], order: int) -> float:
@@ -322,20 +339,22 @@ def _grow_chain(start: Beam | None, edges: _Track, psi_m: float, c_t: float,
     the focus is solved from a probe at left plus the last offset on
     ``edges`` (the even chain's first from the full bracket, whose end it
     is).  Either way the chain fails where C(left, left) < c_t, evaluated
-    unless |left| is within ``reach``.  Each edge solve probes the root and
-    Newton point that ``edges`` predicts.  Each parity starts its own
-    record, so its beams are the same bits whichever parity is built
-    first, and an :func:`estimate_bsup` probe's verdict is that of a full
-    design.
+    unless |left| is within ``reach``.  Each edge solve is aimed by
+    ``edges`` or by the capacity model, see :func:`solve_right_edge`.  The
+    mirror margin and the band's outer ratios are computed once per chain.
+    Each parity starts its own record, so its beams are the same bits
+    whichever parity is built first, and an :func:`estimate_bsup` probe's
+    verdict is that of a full design.
     """
     out: list[Beam] = []
     focus, right = (start.focus, start.right) if start else (math.nan, 0.0)
+    margin, outer = _mirror_margin(band, arr), band.ratios[[0, -1]].tolist()
     while right < psi_m:
         left = right
         mirror = 2.0 * left - focus
         x, excess = edges.ends.get(True, (None, -math.inf))
-        offsets = [xi * left - f for xi in band.ratios[[0, -1]] for f in (focus, mirror)]
-        if (x == left and excess >= _mirror_margin(left, mirror, band, arr)
+        offsets = [xi * left - f for xi in outer for f in (focus, mirror)]
+        if (x == left and excess >= margin(left, mirror)
                 and max(map(abs, offsets)) <= 1.0):
             if abs(left) > reach and capacity_bs(left, left, band, arr) < c_t:
                 raise _no_focus(left)

@@ -7,7 +7,8 @@ on the smooth capacity and gain curves, and projects it into the ITP
 interval around the midpoint (Oliveira & Takahashi, ACM TOMS 47(1), 2020).
 The projection caps the step count at bisection's plus ``SLACK`` on any
 monotone function.  A caller that can predict the root and the slope there,
-as a codebook chain can from its earlier beams, passes the predictions:
+as a codebook chain can from its earlier beams or a model of the capacity,
+passes the predictions:
 the first step probes the predicted root, the second the Newton point from
 it moved a spread past the root, and each later one a point just past the
 secant point of the last two probes, so that a good prediction closes the

@@ -1,4 +1,9 @@
-"""The public names of the package, and the ones the benchmark depends on."""
+"""The public names of the package, the ones the benchmark depends on, and
+what importing the command line loads."""
+
+import subprocess
+import sys
+from pathlib import Path
 
 import beamsquint
 from beamsquint import array_model, capacity, cli, codebook, serialize
@@ -16,6 +21,11 @@ TRACED_NAMES = {
     capacity: ("capacity_bs",),
     array_model: ("gain_mag",),
 }
+
+# The modules besides the package's own and json's that `import
+# beamsquint.cli` may load beyond those of `import numpy`.  The benchmark's
+# setup_s is that import's time, so a new module at load shows there.
+CLI_IMPORTS = {"__future__", "_json", "argparse", "copy", "dataclasses", "gettext"}
 
 
 def test_star_import_resolves_every_public_name():
@@ -38,3 +48,15 @@ def test_traced_names_exist():
     for module, names in TRACED_NAMES.items():
         for name in names:
             assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+
+
+def test_cli_import_loads_no_new_module():
+    src = Path(beamsquint.__file__).resolve().parent.parent
+    probe = (f"import sys; sys.path.insert(0, {str(src)!r}); import numpy; "
+             "before = set(sys.modules); import beamsquint.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            check=True, timeout=60).stdout.split()
+    assert "beamsquint.cli" in loaded
+    assert [m for m in loaded if m not in CLI_IMPORTS
+            and m.split(".")[0] not in ("beamsquint", "json")] == []

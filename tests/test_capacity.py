@@ -14,10 +14,11 @@ import beamsquint
 
 from beamsquint import (ArrayConfig, BandConfig, ConfigError, DomainError,
                         InfeasibleError, beamwidth_nbs, capacity_bs, capacity_nbs,
-                        capacity_threshold, capacity_threshold_3db, gain_region,
-                        spectral_efficiency_bs, squint_safe_range)
+                        capacity_threshold, capacity_threshold_3db, design_codebook,
+                        gain_region, spectral_efficiency_bs, squint_safe_range)
 from beamsquint import capacity
 from beamsquint.capacity import MIN_REGION_R, _capacity_rows, capacity_slope_bound
+from beamsquint.roots import TOL
 
 from oracles import pair_asymmetry, ref_capacity_bs, ref_halfwidth
 
@@ -294,7 +295,7 @@ class TestMirrorIdentity:
         offsets = np.subtract.outer(band.ratios[[0, -1]] * psi, [f, mirror])
         assume(np.max(np.abs(offsets)) <= 1.0)
         assert abs(capacity_bs(mirror, psi, band, arr) - capacity_bs(f, psi, band, arr)) \
-            <= capacity._mirror_margin(psi, mirror, band, arr)
+            <= capacity._mirror_margin(band, arr)(psi, mirror)
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(b=st.one_of(st.just(0.0), st.floats(0.0, 2.0, exclude_max=True)),
@@ -306,6 +307,81 @@ class TestMirrorIdentity:
         exact = max(abs(Fraction(x) + Fraction(y) - 2) for x, y in zip(ratios, ratios[::-1]))
         assert exact <= Fraction(2) ** -52
         assert pair_asymmetry(ratios) == exact
+
+
+class TestCapacityModel:
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(n=st.integers(2, 1024), bn=st.floats(0.0, 5.0), pairs=st.integers(8, 1024),
+           snr_db=st.floats(-80.0, 30.0), psi=st.floats(-1.0, 1.0), share=st.floats(-1.0, 1.0))
+    def test_value_and_slope_follow_the_capacity(self, n, bn, pairs, snr_db, psi, share):
+        # Wherever every offset is at most 1, the model is within 10% of
+        # the peak capacity of capacity_bs, and its slope within 20% of L
+        # of a central difference of the reference sum, whose rounding (at
+        # most E at each end) adds E/eta; within 60% of L where fewer than
+        # 20 subcarriers fall in each 1/N of offset (b*N > n_f/20), as there
+        # the midpoint rule's h^4 term, which the model omits, is large.  Over 12,000 random and 130,000
+        # grid examples these reached 6.9%, 9.3% and 53%, near nulls at
+        # high SNR, where the 16-node rule resolves log2(1 + snr*G^2)
+        # poorly, and at n_f 16 for the last.
+        b = bn / n
+        assume(b < 2.0)
+        arr, band = ArrayConfig(n), BandConfig(b=b, n_f=2 * pairs, snr=10 ** (snr_db / 10))
+        f = psi - share
+        assume(np.max(np.abs(band.ratios[[0, -1]] * psi - f)) <= 1.0)
+        value, slope = capacity._capacity_model(f, psi, band, arr)
+        peak = band.bandwidth * math.log2(1.0 + n * band.snr)
+        assert abs(value - capacity_bs(f, psi, band, arr)) <= 0.1 * peak
+        eta = 1e-5 / n
+        diff = (ref_capacity_bs(f, psi + eta, band, arr)
+                - ref_capacity_bs(f, psi - eta, band, arr)) / (2.0 * eta)
+        room = 0.2 if bn <= band.n_f / 20 else 0.6
+        assert abs(slope - diff) <= (room * capacity_slope_bound(band, arr)
+                                     + capacity._rounding_bound(band, arr) / eta)
+
+    @pytest.mark.parametrize("n, bn", [(8, 1.0), (8, 3.0), (12, 3.0), (64, 1.0), (64, 2.8),
+                                       (128, 2.19)])
+    @pytest.mark.parametrize("snr_db", [0.0, 3.0])
+    def test_puts_each_chain_edge_within_a_tenth_of_tol(self, n, bn, snr_db):
+        # At a designed beam's right edge, where the edge solves aim with
+        # it, the model is within 2e-11 of capacity_bs, relative, so its
+        # root lies within TOL/10 of the capacity's (the largest seen:
+        # 1.1e-11 and 0.04*TOL, at N=12, b*N 3.0, 0 dB), and its slope
+        # within 1e-8 of a central difference (9e-10 seen).
+        arr, band = ArrayConfig(n), BandConfig(b=bn / n, n_f=2048, snr=10 ** (snr_db / 10))
+        cb = design_codebook(1.0, capacity_threshold_3db(band, arr), band, arr)
+        eta = 1e-5 / n
+        for beam in cb.beams:
+            f, psi = beam.focus, beam.right
+            value, slope = capacity._capacity_model(f, psi, band, arr)
+            c = capacity_bs(f, psi, band, arr)
+            assert abs(value - c) <= 2e-11 * c
+            assert abs(value - c) <= 0.1 * TOL * abs(slope)
+            diff = (ref_capacity_bs(f, psi + eta, band, arr)
+                    - ref_capacity_bs(f, psi - eta, band, arr)) / (2.0 * eta)
+            assert abs(slope - diff) <= 1e-8 * abs(diff)
+
+    def test_rule_is_numpys_gauss_legendre(self):
+        t, w, wt = capacity._gauss_legendre()
+        nodes, weights = np.polynomial.legendre.leggauss(capacity._MODEL_NODES)
+        order = np.argsort(t[:-2])
+        assert np.allclose(t[:-2][order], nodes, rtol=0.0, atol=1e-15)
+        assert np.allclose(2.0 * w[:-2][order], weights, rtol=0.0, atol=1e-14)
+        assert (t[-2:].tolist(), w[-2:].tolist()) == ([-1.0, 1.0], [0.0, 0.0])
+        assert np.array_equal(wt, w * t)
+
+    def test_singular_offsets_take_the_limit(self):
+        # At x = 0 and x = +-2 the gain's sines vanish; the model takes the
+        # limit there without a warning (the suite makes warnings errors),
+        # within 1e-13 of the nearby capacity, and with zero slope at the
+        # peak of a zero-bandwidth beam.
+        arr, band = ArrayConfig(16), BandConfig(b=0.0, n_f=2048, snr=1.0)
+        for f, psi in ((0.3, 0.3), (-1.0, 1.0), (1.0, -1.0)):
+            value, slope = capacity._capacity_model(f, psi, band, arr)
+            assert value == pytest.approx(capacity_bs(f, psi, band, arr), rel=1e-13)
+            assert slope == pytest.approx(0.0, abs=1e-9)
+        band = BandConfig(b=0.1, n_f=32, snr=1.0)
+        value, _ = capacity._capacity_model(0.0, 0.0, band, arr)
+        assert value == pytest.approx(capacity_bs(0.0, 0.0, band, arr), rel=1e-13)
 
 
 class TestCapacityNbs:

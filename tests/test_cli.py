@@ -119,8 +119,8 @@ class TestDesignCommand:
         # The report names both sizes' failing foci too: each chain's last
         # focus, mirrored from the one before, whose edge solve finds
         # C(f, f) < c_t.
-        assert (report.failing_focus, report.even_focus) == (0.67866771048816,
-                                                             0.6786836485493937)
+        assert (report.failing_focus, report.even_focus) == (0.6786677105088784,
+                                                             0.678683648558043)
         with pytest.raises(InfeasibleError) as exc:
             design_codebook(1.0, capacity_threshold(R_3DB, band, arr), band, arr)
         odd, even = exc.value.failing_focus, exc.value.even_focus
