@@ -200,7 +200,18 @@ def _on_focus_slope_bound(band: BandConfig, arr: ArrayConfig) -> float:
     psi is its slope in x times |xi - 1|.  The proof of
     :func:`capacity_slope_bound` bounds the slope in x averaged over the
     band by L/(1 + b/2), L carrying the factor 1 + b/2 for the largest xi,
-    so the bound is L*max|xi - 1|/(1 + b/2), about L*(b/2)/(1 + b/2)."""
+    so the bound is L*max|xi - 1|/(1 + b/2), about L*(b/2)/(1 + b/2).
+
+    It also bounds the slope in p of C(p, p + d) for a fixed d, such as
+    the edges p +- w of a gain region (see
+    :func:`~beamsquint.codebook.improvement_max`): subcarrier xi sees x =
+    (xi - 1)*p + xi*d, whose slope in p is again xi - 1.  The computed edge
+    p +- w is rounded once, within u = 2**-53 of the exact one when it lies
+    in [-1, 1], and the capacity at a fixed focus moves by at most L times
+    that.  So between two foci the exact capacity at the computed edges
+    moves by at most this bound times their distance plus 2u*L.  The lemma
+    of :func:`_sign_margin` leaves room for that: its terms use 19u*L of
+    the 32u*L in M."""
     return (capacity_slope_bound(band, arr) * _max_offset_ratio(band)
             / (1.0 + band.b / 2.0))
 

@@ -19,9 +19,9 @@ from .array_model import ArrayConfig, gain_mag
 from .capacity import (R_3DB, BandConfig, _require_region_ratio, _require_visible,
                        capacity_bs, capacity_nbs, capacity_threshold,
                        spectral_efficiency_bs, squint_safe_range)
-from .codebook import (_focus_grid, _inverse_law, _proved_infeasible, _require_psi_m,
-                       _require_tol_b, assess_feasibility, estimate_bsup, improvement_max,
-                       improvement_ratio)
+from .codebook import (_MAX_POINTS, _focus_grid, _inverse_law, _proved_infeasible,
+                       _require_psi_m, _require_tol_b, assess_feasibility, estimate_bsup,
+                       improvement_max, improvement_ratio)
 from .errors import ConfigError
 
 INFEASIBLE_MARKER = -1.0
@@ -68,11 +68,15 @@ def _bands(b_values: Sequence[float], n_f: int, snr: float) -> list[BandConfig]:
     return bands
 
 
+def _require_steps(steps: int) -> None:
+    if not 2 <= steps <= _MAX_POINTS:
+        raise ConfigError(f"steps must be in [2, {_MAX_POINTS}], got {steps}")
+
+
 def sweep_gain_pattern(arr: ArrayConfig, x_range: tuple[float, float] = (-1.0, 1.0),
                        steps: int = 1001) -> SweepResult:
     """Dense samples of the array gain magnitude over ``x_range``."""
-    if steps < 2:
-        raise ConfigError(f"steps must be >= 2, got {steps}")
+    _require_steps(steps)
     if not np.all(np.isfinite(x_range)):
         raise ConfigError(f"x_range must be finite, got {tuple(x_range)}")
     xs = np.linspace(x_range[0], x_range[1], steps)
@@ -96,8 +100,7 @@ def sweep_capacity_vs_bandwidth(arrays: Sequence[ArrayConfig], psi_f: float,
     fixed; squint grows with bandwidth, so the squinted capacity rises and
     then falls while the ideal one keeps growing.
     """
-    if steps < 2:
-        raise ConfigError(f"steps must be >= 2, got {steps}")
+    _require_steps(steps)
     if not all(0.0 < bw < math.inf for bw in bandwidth_range_hz):
         raise ConfigError("bandwidth_range_hz must be finite and positive, "
                           f"got {tuple(bandwidth_range_hz)}")

@@ -5,7 +5,8 @@ closed form written out here, widths from a fresh bisection on it, and
 roots from brute-force grid scans.  The exception is the straightforward
 versions of the package's screened, early-stopping or in-place paths,
 which those paths must agree with: ``ref_capacity_bs``,
-``exhaustive_coverage_check`` and ``both_parity_bsup``.
+``exhaustive_coverage_check``, ``both_parity_bsup`` and
+``ref_improvement_max``.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import math
 import numpy as np
 
 from beamsquint import (BandConfig, assess_feasibility, capacity_bs, capacity_threshold,
-                        gain_mag)
-from beamsquint.codebook import _coverage_grid
+                        gain_mag, improvement_ratio)
+from beamsquint.codebook import _coverage_grid, _focus_grid
 
 
 def ref_gain_mag(x: float, n: int) -> float:
@@ -82,6 +83,12 @@ def exhaustive_coverage_check(cb, band, arr, grid_step: float) -> bool:
     return all(np.any(capacity_bs(foci[:, np.newaxis], missed[i:i + 8], band, arr)
                       >= floor, axis=0).all()
                for i in range(0, len(missed), 8))
+
+
+def ref_improvement_max(r: float, band, arr, grid_step: float = 0.01) -> float:
+    """``improvement_max`` without its screen: the largest improvement ratio
+    of every focus, evaluated in grid order."""
+    return max(improvement_ratio(float(pf), r, band, arr) for pf in _focus_grid(grid_step))
 
 
 def both_parity_bsup(arr, r: float, snr: float, psi_m: float = 1.0,

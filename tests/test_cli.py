@@ -262,6 +262,12 @@ class TestConfigErrors:
          "--snr-db", "0", "--psi-f", "-1.05", "--subcarriers", "64"],
         ["sweep", "--kind", "capacity-vs-bandwidth", "--n-list", "16",
          "--psi-f", "3", "--psi", "3", "--steps", "2"],
+        # Point counts numpy cannot allocate are refused before it tries.
+        ["gain", "--antennas", "2", "--steps", "100000000000000000000"],
+        ["sweep", "--kind", "capacity-vs-bandwidth", "--n-list", "2",
+         "--steps", "100000000000000000000", "--subcarriers", "2"],
+        ["sweep", "--kind", "improvement-vs-focus", "--n-list", "2",
+         "--frac-bandwidth", "0.5", "--psi-f-step", "1e-300", "--subcarriers", "2"],
     ], ids=["snr-nan", "snr-inf", "ct-nan", "tol-b-nan", "x-min-nan",
             "psi-out-of-range", "psi-f-step-0", "psi-f-step-nan",
             "psi-f-step-negative", "bw-min-negative", "bw-min-0",
@@ -269,7 +275,9 @@ class TestConfigErrors:
             "b-max-nan", "b-max-negative", "fact1-samples-negative",
             "seed-negative", "unused-nan-b", "snr-db-overflow",
             "tol-b-bracket-width", "carrier-inf", "improvement-psi-f-above-1",
-            "improvement-psi-f-below-minus-1", "sweep-angles-out-of-range"])
+            "improvement-psi-f-below-minus-1", "sweep-angles-out-of-range",
+            "gain-steps-oversize", "bandwidth-sweep-steps-oversize",
+            "psi-f-step-oversize"])
     def test_non_finite_or_out_of_domain_exits_2(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 2

@@ -3,6 +3,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamsquint import (ArrayConfig, BandConfig, Beam, Codebook, ConfigError, DomainError,
                         InfeasibleError, assess_feasibility,
@@ -17,7 +19,7 @@ from beamsquint.experiments import sweep_codebook_size_vs_n
 from beamsquint.roots import TOL
 
 from oracles import (both_parity_bsup, exhaustive_coverage_check,
-                     long_double_capacity, ref_halfwidth,
+                     long_double_capacity, ref_halfwidth, ref_improvement_max,
                      scan_first_at_or_above, scan_last_at_or_above)
 
 SQRT2_OVER_2 = math.sqrt(2.0) / 2.0
@@ -46,6 +48,14 @@ def design_counts(arr, band, monkeypatch):
         except InfeasibleError:
             size = None
     return size, counts["solves"], counts["capacity"]
+
+
+def outcome(fn, *args):
+    """The bits of ``fn(*args)``, or the type and message of its error."""
+    try:
+        return fn(*args).hex()
+    except (ConfigError, DomainError) as exc:
+        return type(exc).__name__, str(exc)
 
 
 def recording_focus_solves(monkeypatch):
@@ -754,6 +764,62 @@ class TestImprovement:
         value = improvement_ratio(1.0, SQRT2_OVER_2, band, arr)
         assert value == pytest.approx(0.178, abs=0.01)
         assert value == pytest.approx(0.169405, abs=1e-4)  # regression pin
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(n=st.integers(2, 1024), b=st.one_of(st.just(0.0), st.floats(0.0, 1.9)),
+           pairs=st.integers(1, 1024), snr_db=st.floats(-80.0, 30.0),
+           r=st.floats(0.25, 1.0, exclude_max=True),
+           step=st.sampled_from([0.01, 0.0073, 0.05, 0.3, 1.0]))
+    def test_screened_maximum_is_the_full_scans_bit_for_bit(self, n, b, pairs, snr_db,
+                                                             r, step):
+        # Skipping the foci proved unable to hold the smallest C_min leaves
+        # the largest ratio of every focus, to the bit, and the same errors.
+        arr, band = ArrayConfig(n), BandConfig(b=b, n_f=2 * pairs, snr=10 ** (snr_db / 10))
+        assert outcome(improvement_max, r, band, arr, step) == \
+            outcome(ref_improvement_max, r, band, arr, step)
+
+    @pytest.mark.parametrize("first", [0, 30, 50, 97, 100])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_a_vanished_capacity_fails_at_the_first_focus_in_grid_order(
+            self, first, value, monkeypatch):
+        # From focus `first` on the capacity is patched to `value`.  The
+        # screen meets it near endfire first, and still fails, or returns
+        # the NaN-tainted maximum, as the full scan does in grid order.
+        arr, band = ArrayConfig(16), band_for(0.02)
+        grid = codebook._focus_grid(0.01).tolist()
+
+        def patched(pf, psi, band, arr):
+            return value if pf >= grid[first] else capacity_bs(pf, psi, band, arr)
+
+        monkeypatch.setattr(codebook, "capacity_bs", patched)
+        found = outcome(improvement_max, SQRT2_OVER_2, band, arr)
+        assert found == outcome(ref_improvement_max, SQRT2_OVER_2, band, arr)
+        if value <= 0.0:
+            assert found == ("DomainError", "squinted capacity vanished at the region "
+                             f"edge for psi_f={grid[first]}")
+
+    @pytest.mark.parametrize("n, b, snr_db, calls", [
+        (64, 2.5 / 73, 0.0, 66),  # the paper's headline cell
+        (16, 0.02, 0.0, 164),
+        (128, 0.05, 3.0, 108),
+        # max|xi - 1| + w > 1: offsets may pass 1, so nothing is skipped.
+        (2, 1.5, 0.0, 202),
+    ])
+    def test_screened_maximum_keeps_its_call_counts(self, n, b, snr_db, calls,
+                                                    monkeypatch):
+        # Evaluating every focus of the 0.01 grid takes 202 capacity calls.
+        arr, band = ArrayConfig(n), band_for(b, snr=10 ** (snr_db / 10))
+        counted = []
+
+        def counting(*args):
+            counted.append(args)
+            return capacity_bs(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(codebook, "capacity_bs", counting)
+            value = improvement_max(SQRT2_OVER_2, band, arr)
+        assert len(counted) == calls
+        assert value == ref_improvement_max(SQRT2_OVER_2, band, arr)
 
     def test_max_close_to_endfire_value(self):
         arr = ArrayConfig(64)

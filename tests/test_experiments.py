@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from beamsquint import (INFEASIBLE_MARKER, ArrayConfig, ConfigError,
+from beamsquint import (INFEASIBLE_MARKER, ArrayConfig, BandConfig, ConfigError,
                         codebook, experiments, fit_bsup_constant, rerun,
                         sweep_capacity_vs_bandwidth, sweep_codebook_size_vs_n,
                         sweep_gain_pattern, sweep_improvement_max_vs_b,
@@ -66,6 +66,18 @@ class TestGainPatternSweep:
     def test_rejects_degenerate_steps(self):
         with pytest.raises(ConfigError):
             sweep_gain_pattern(ArrayConfig(16), steps=1)
+
+    @pytest.mark.parametrize("make", [
+        lambda: sweep_gain_pattern(ArrayConfig(2), steps=codebook._MAX_POINTS + 1),
+        lambda: sweep_capacity_vs_bandwidth([], 0.5, 0.5, 2e9, 2, steps=10 ** 20),
+        lambda: sweep_improvement_vs_focus([ArrayConfig(2)], b=0.5, r=SQRT2_OVER_2,
+                                           snr=1.0, n_f=2, psi_f_step=1e-300),
+        lambda: codebook.improvement_max(SQRT2_OVER_2, BandConfig(0.5, 2, 1.0),
+                                         ArrayConfig(2), grid_step=1e-7),
+    ], ids=["gain-steps", "bandwidth-steps", "focus-step", "improvement-max-step"])
+    def test_rejects_point_counts_past_the_cap_before_allocating(self, make):
+        with pytest.raises(ConfigError, match="10000000"):
+            make()
 
     def test_columns_and_params(self):
         sr = sweep_gain_pattern(ArrayConfig(8), x_range=(-0.5, 0.5), steps=11)
