@@ -13,6 +13,8 @@ import argparse
 import functools
 import sys
 
+import numpy as np
+
 from .array_model import ArrayConfig
 from .capacity import (R_3DB, BandConfig, _require_visible, capacity_bs,
                        capacity_nbs, capacity_threshold, spectral_efficiency_bs)
@@ -298,7 +300,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
     try:
-        result = args.run(args)
+        # A result that overflows (a huge but finite SNR) is reported once,
+        # when its emission meets the non-finite value and raises DomainError.
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = args.run(args)
+        if isinstance(result, SweepResult):
+            result = sweep_to_json(result) if args.format == "json" else sweep_to_csv(result)
     except InfeasibleError as exc:
         # Only design_codebook's error gets here: both sizes' foci or neither.
         odd, even = exc.failing_focus, exc.even_focus
@@ -309,8 +316,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if isinstance(result, SweepResult):
-        result = sweep_to_json(result) if args.format == "json" else sweep_to_csv(result)
     if args.out:
         try:
             with open(args.out, "wb") as fh:

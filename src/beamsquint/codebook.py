@@ -78,9 +78,6 @@ _MAX_POINTS = 10_000_000
 # Relative capacity slack of coverage_check.
 _COVERAGE_RTOL = 1e-6
 
-# Runs of coverage_check's screen this short are evaluated point by point.
-_DIRECT_POINTS = 4
-
 # Capacity evaluations _proved_infeasible may spend before it leaves a
 # verdict to the chains; 16 proves the same 23 cells of the default size
 # sweep as 256 does.
@@ -569,8 +566,7 @@ def coverage_check(cb: Codebook, band: BandConfig, arr: ArrayConfig,
     distance from that point to the run's ends (at most 1), clears the
     floor by M of :func:`~beamsquint.capacity._sign_margin` and every
     offset on the run is at most 1; the points either side of an unproved
-    run's middle form two runs, and runs of at most ``_DIRECT_POINTS``
-    points are evaluated point by point, so no point is evaluated twice.
+    run's middle form two runs, so no point is evaluated twice.
     A point passes only where the floor is proved or computed, so by M's
     lemma the verdict equals a point-by-point check at every SNR.  The
     points that fail are tested against every beam, up to
@@ -578,14 +574,13 @@ def coverage_check(cb: Codebook, band: BandConfig, arr: ArrayConfig,
     covers ends the check.  The check depends only on the codebook and the
     model, never on a solver tolerance.
     """
+    if not cb.beams:
+        return False  # the grid holds 0, which no beam covers
     grid = _coverage_grid(cb.psi_m, grid_step)
     foci = np.array([beam.focus for beam in cb.beams])
     floor = cb.c_t * (1.0 - _COVERAGE_RTOL)
 
-    idx = np.clip(np.searchsorted(foci, grid), 0, len(foci) - 1)
-    left = np.clip(idx - 1, 0, len(foci) - 1)
-    nearest = np.where(np.abs(foci[left] - grid) <= np.abs(foci[idx] - grid),
-                       left, idx)
+    nearest = np.searchsorted(0.5 * (foci[1:] + foci[:-1]), grid)
     missed = grid[_screen_runs(grid, foci[nearest], floor, cb.c_t, band, arr)]
     chunks = (missed[i:i + _FALLBACK_POINTS]
               for i in range(0, len(missed), _FALLBACK_POINTS))
@@ -599,7 +594,7 @@ def _screen_runs(grid: np.ndarray, focus: np.ndarray, floor: float, c_t: float,
 
     Evaluates each run of equal foci at its middle point, which is then
     checked, and splits a run the slope bound does not prove into the
-    points on either side until runs are short enough to evaluate; each
+    points on either side, so each point is evaluated at most once; each
     level is one batched capacity call.  A run's largest offset xi*psi -
     focus, as capacity_bs computes it, sits at one of its two ends and one
     of the two outer subcarriers.
@@ -611,21 +606,17 @@ def _screen_runs(grid: np.ndarray, focus: np.ndarray, floor: float, c_t: float,
     lo = np.concatenate(([0], cuts))
     hi = np.concatenate((cuts, [len(grid)]))
     while len(lo):
-        short = hi - lo <= _DIRECT_POINTS
-        points = lo[short, np.newaxis] + np.arange(_DIRECT_POINTS)
-        points = points[points < hi[short, np.newaxis]]
-        lo, hi = lo[~short], hi[~short]
         mid = (lo + hi) // 2
-        points = np.concatenate((points, mid))
-        caps = capacity_bs(focus[points], grid[points], band, arr)
-        missed[points] = caps < floor
+        caps = capacity_bs(focus[mid], grid[mid], band, arr)
+        missed[mid] = caps < floor
         first, centre, last = grid[lo], grid[mid], grid[hi - 1]
         h = np.maximum(centre - first, last - centre)
         ends = np.multiply.outer(band.ratios[[0, -1]], (first, last)) - focus[lo]
         unproved = ((np.abs(ends).max(axis=(0, 1)) > 1.0) | (h > 1.0)
-                    | (caps[len(points) - len(mid):] - slope * h < margin))
+                    | (caps - slope * h < margin))
         lo, hi, mid = lo[unproved], hi[unproved], mid[unproved]
         lo, hi = np.concatenate((lo, mid + 1)), np.concatenate((mid, hi))
+        lo, hi = lo[lo < hi], hi[lo < hi]
     return missed
 
 

@@ -9,11 +9,10 @@ The projection caps the step count at bisection's plus ``SLACK`` on any
 monotone function.  A caller that can predict the root and the slope there,
 as a codebook chain can from its earlier beams or a model of the capacity,
 passes the predictions:
-the first step probes the predicted root, the second the Newton point from
-it moved a spread past the root, and each later one a point just past the
-secant point of the last two probes, so that a good prediction closes the
-bracket in three evaluations, or two when it is already within ``TOL``.
-Every probe obeys the same projection, so a bad prediction or slope costs
+the first step probes the predicted root and the second the Newton point
+from it moved a spread past the root, so that a prediction within ``TOL``
+closes the bracket in two evaluations; secant steps take it from there.
+Both probes obey the same projection, so a bad prediction or slope costs
 no step beyond the bound.  A caller that has proved the function
 non-negative at the good end spares its evaluation.  The steps are
 deterministic, so every run is bit-reproducible.
@@ -30,8 +29,7 @@ TOL = 1e-10
 # margin; on the package's capacity roots a margin of 2 costs no step that a
 # larger one saves, and 1 does.  With 2, the first two steps may take any
 # point at least TOL/2 inside the bracket, so the probes of a prediction
-# and of its Newton point are never moved further than that; later probes
-# are free once those two have bracketed the root.
+# and of its Newton point are never moved further than that.
 SLACK = 2
 # How far past an estimate of the root a probe aims, at least: two probes
 # this far past a point within TOL/2 of the root, one on each side, leave a
@@ -60,15 +58,11 @@ def bisect(f: Callable[[float], float], good: float, bad: float,
     Newton point lies between the two probes; without a slope, or where
     the Newton step would go away from the root (a NaN, zero, infinite or
     wrong-signed slope), it probes ``spread`` past the guess instead.  The
-    spread is at least ``_STRADDLE``.  When these two probes bracket the
-    root, each later step probes ``_STRADDLE`` past the secant point of the
-    last two probes, on the side where the root lies: two such probes on
-    either side of a secant point within TOL/2 of the root close the
-    bracket.  When they do not, or a secant point would go away from the
-    root, the secant steps take over.  Every probe obeys the same
-    projection as the secant steps, so any guess, spread or slope keeps the
-    bound.  ``f(bad)`` is evaluated only when the bracket still ends at
-    ``bad`` once the secant steps take over or the bracket is closed.
+    spread is at least ``_STRADDLE``.  The secant steps take over from
+    there.  Both probes obey the same projection as the secant steps, so
+    any guess, spread or slope keeps the bound.  ``f(bad)`` is evaluated
+    only when the bracket still ends at ``bad`` once the secant steps take
+    over or the bracket is closed.
 
     ``f(good)`` is evaluated first, to tell whether a root is bracketed,
     unless ``good_proved`` says that ``f(good) >= 0`` is already known.  It
@@ -89,8 +83,6 @@ def bisect(f: Callable[[float], float], good: float, bad: float,
     fb = None  # f(bad): not needed unless bad is still an end after the probes
     probing = guess is not None
     target = guess
-    last = None  # the previous probe and its value
-    toward = 0.0  # the side of the guess on which the root lies
     side = 0  # +1 / -1: the previous secant step moved the good / bad end
     for j in range(n_max):
         if not probing and fb is None:
@@ -115,30 +107,18 @@ def bisect(f: Callable[[float], float], good: float, bad: float,
             if side > 0:
                 fb *= _damping(fx, fg)
             good, fg, side = x, fx, 0 if probing else 1
-            d = math.copysign(1.0, bad - x)
         else:
             if side < 0:
                 fg *= _damping(fx, fb)
             bad, fb, side = x, fx, 0 if probing else -1
-            d = math.copysign(1.0, good - x)
         width = abs(bad - good)
-        if not probing:
-            continue
-        # The root lies on side d of x.
-        if last is None:  # the guess: aim a spread past its Newton point
+        if probing and j == 0:  # the guess: aim a spread past its Newton point
+            d = math.copysign(1.0, (bad if fx >= 0.0 else good) - x)  # the root's side
             newton = x - fx / slope if slope else math.nan
             target = ((newton if (newton - x) * d >= 0.0 else x)
                       + max(spread, _STRADDLE) * d)
-            toward = d
-        else:
-            estimate = (x - fx * (x - last[0]) / (fx - last[1]) if fx != last[1]
-                        else math.nan)
-            # A second probe that leaves the root on the guess's side, or a
-            # secant point away from the root, leaves the rest to secant steps.
-            probing = d != toward and (estimate - x) * d >= 0.0
-            toward = 0.0
-            target = estimate + _STRADDLE * d
-        last = x, fx
+        else:  # the second probe was the last
+            probing = False
     if fb is None:
         fb = f(bad)
         if fb >= 0.0:

@@ -19,16 +19,20 @@ import numpy as np
 from .array_model import ArrayConfig, steering_phases
 from .capacity import BandConfig
 from .codebook import Codebook
+from .errors import DomainError
 from .experiments import SweepResult
 
 _INDENT = "  "
 
 
 def format_float(x: float) -> str:
-    """Decimal form of a float with 17 significant digits (lossless)."""
+    """Decimal form of a float with 17 significant digits (lossless).
+
+    Raises :class:`~beamsquint.errors.DomainError` for a NaN or infinity,
+    such as a capacity that overflows at a huge but finite SNR."""
     x = float(x)
     if not math.isfinite(x):
-        raise ValueError(f"cannot serialise non-finite value {x}")
+        raise DomainError(f"cannot serialise non-finite value {x}")
     return "%.16e" % x
 
 

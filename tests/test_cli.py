@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,8 @@ ABSTRACT_DESIGN = [
 
 FOCUS_SWEEP = ["sweep", "--kind", "improvement-vs-focus", "--n-list", "16",
                "--frac-bandwidth", "0.03", "--subcarriers", "64"]
+OVERFLOW_IMPROVEMENT = ["improvement", "--antennas", "16", "--frac-bandwidth", "0.01",
+                        "--subcarriers", "64"]
 BANDWIDTH_SWEEP = ["sweep", "--kind", "capacity-vs-bandwidth", "--n-list", "16",
                    "--steps", "3", "--subcarriers", "64"]
 
@@ -268,6 +273,17 @@ class TestConfigErrors:
          "--steps", "100000000000000000000", "--subcarriers", "2"],
         ["sweep", "--kind", "improvement-vs-focus", "--n-list", "2",
          "--frac-bandwidth", "0.5", "--psi-f-step", "1e-300", "--subcarriers", "2"],
+        # 10**308 is a finite SNR, but N*snr overflows, and so do the results.
+        OVERFLOW_IMPROVEMENT + ["--snr-db", "3080"],
+        OVERFLOW_IMPROVEMENT + ["--snr-db", "3080", "--psi-f", "0.5"],
+        ["capacity", "--antennas", "16", "--frac-bandwidth", "0.01", "--subcarriers",
+         "64", "--psi-f", "0.5", "--psi", "0.5", "--snr-db", "3080"],
+        ["sweep", "--kind", "improvement-max-vs-b", "--n-list", "16", "--b-list",
+         "0.01", "--subcarriers", "64", "--snr-db", "3080"],
+        ["sweep", "--kind", "improvement-vs-focus", "--n-list", "16", "--frac-bandwidth",
+         "0.01", "--subcarriers", "64", "--psi-f-step", "0.5", "--snr-db", "3080"],
+        ["verify", "--fact1-samples", "1", "--fact2-samples", "1", "--fact3-n-list",
+         "16", "--tol-b", "0.5", "--snr-db", "3080"],
     ], ids=["snr-nan", "snr-inf", "ct-nan", "tol-b-nan", "x-min-nan",
             "psi-out-of-range", "psi-f-step-0", "psi-f-step-nan",
             "psi-f-step-negative", "bw-min-negative", "bw-min-0",
@@ -277,12 +293,15 @@ class TestConfigErrors:
             "tol-b-bracket-width", "carrier-inf", "improvement-psi-f-above-1",
             "improvement-psi-f-below-minus-1", "sweep-angles-out-of-range",
             "gain-steps-oversize", "bandwidth-sweep-steps-oversize",
-            "psi-f-step-oversize"])
+            "psi-f-step-oversize", "improvement-max-overflow", "improvement-overflow",
+            "capacity-overflow", "improvement-max-sweep-overflow",
+            "focus-sweep-overflow", "verify-overflow"])
     def test_non_finite_or_out_of_domain_exits_2(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, filled", [
         (["sweep", "--kind", "improvement-vs-focus", "--n-list", "",
@@ -620,13 +639,25 @@ class TestDeterminismAndOutput:
         assert len(mantissa) >= 12
 
     def test_console_script_installed(self):
+        # The installed script, or else the entry point it names, run from
+        # this checkout's sources: each exit code must cross the process.
         exe = shutil.which("beamsquint")
+        env = dict(os.environ)
         if exe is None:
-            pytest.skip("console script not on PATH")
-        proc = subprocess.run(
-            [exe, "capacity", "--antennas", "16", "--frac-bandwidth", "0",
-             "--psi-f", "0", "--psi", "0", "--snr-db", "0",
-             "--subcarriers", "64"],
-            capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0
-        assert "capacity_bs" in proc.stdout
+            src = str(Path(cli.__file__).resolve().parent.parent)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        command = ([exe] if exe else
+                   [sys.executable, "-c", "from beamsquint.cli import entrypoint; entrypoint()"])
+        for argv, code, err in [
+            (["capacity", "--antennas", "16", "--frac-bandwidth", "0", "--psi-f", "0",
+              "--psi", "0", "--snr-db", "0", "--subcarriers", "64"], 0, ""),
+            (["capacity", "--antennas", "16", "--frac-bandwidth", "0.01", "--psi-f", "0",
+              "--psi", "0", "--snr-db", "nan"], 2, "error: "),
+            (["design", "--antennas", "42", "--frac-bandwidth", "0.0714", "--snr-db", "0",
+              "--subcarriers", "64"], 3, "no codebook exists"),
+        ]:
+            proc = subprocess.run(command + argv, capture_output=True, text=True,
+                                  timeout=120, env=env)
+            assert proc.returncode == code
+            assert ("capacity_bs" in proc.stdout) is (code == 0)
+            assert proc.stderr.startswith(err) and (code or proc.stderr == "")

@@ -665,21 +665,25 @@ class TestCoverageScreen:
 
     def test_low_snr_screen_evaluates_fewer_points_than_the_grid(self, monkeypatch):
         # At N*snr << 1 the slope bound's factor 2*snr*sqrt(N) is far below
-        # sqrt(snr), so the screen proves most runs: 4,234 evaluated points
-        # for the 20,001-point grid (4,920 when each run's probe was an
-        # extra point, 25,987 with sqrt(snr) alone).
+        # sqrt(snr), so the screen proves most runs: 3,501 evaluated points
+        # for the 20,001-point grid (4,234 when runs of up to 4 points were
+        # evaluated point by point, 4,920 when each run's probe was an extra
+        # point, 25,987 with sqrt(snr) alone).
         n = 128
         assert self.screened_points(n, band_for(2.0 / n, n_f=256, snr=1e-8),
-                                    monkeypatch) <= 4_234
+                                    monkeypatch) <= 3_501
 
     @pytest.mark.parametrize("n, band, most", [
-        # About 17 grid points a beam: every point is evaluated, once
-        # (23,639 when each run's probe was an extra point).
-        (1024, band_for(2.0 / 1024, n_f=256, snr=1e-6), 20_001),
-        # The scan workload's books, 2.5 GHz at 73 GHz and 0 dB (5,747 and
-        # 1,973 when each run's probe was an extra point).
-        (64, band_for(2.5 / 73), 5_136),
-        (32, band_for(2.5 / 73), 1_904),
+        # About 17 grid points a beam, and short runs halved like long ones
+        # still prove some (every point, 20,001, when runs of up to 4 points
+        # were evaluated point by point; 23,639 when each run's probe was an
+        # extra point).
+        (1024, band_for(2.0 / 1024, n_f=256, snr=1e-6), 14_617),
+        # The scan workload's books, 2.5 GHz at 73 GHz and 0 dB (5,136 and
+        # 1,904 when runs of up to 4 points were evaluated point by point,
+        # 5,747 and 1,973 when each run's probe was an extra point).
+        (64, band_for(2.5 / 73), 4_286),
+        (32, band_for(2.5 / 73), 1_681),
     ], ids=["n1024-low-snr", "n64-scan", "n32-scan"])
     def test_screen_evaluates_each_point_at_most_once(self, n, band, most, monkeypatch):
         assert self.screened_points(n, band, monkeypatch) <= most
@@ -693,6 +697,12 @@ class TestCoverageScreen:
         c_t = 0.5 * low if expected else threshold(band, arr)
         cb = Codebook(beams=(Beam(0.0, -1.0, 1.0),), psi_m=1.0, c_t=c_t)
         self.same_verdict(cb, band, arr, 1e-3, expected)
+
+    def test_empty_book_covers_nothing(self):
+        # The grid holds 0, which no beam covers, and there is no nearest one.
+        band = band_for(0.0179, n_f=256)
+        empty = Codebook(beams=(), psi_m=1.0, c_t=1.0)
+        assert coverage_check(empty, band, ArrayConfig(16), grid_step=1e-3) is False
 
     def test_reversed_book(self):
         band = band_for(0.0179, n_f=256)

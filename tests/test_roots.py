@@ -118,9 +118,8 @@ class TestPredictedBracket:
     @pytest.mark.parametrize("name", ["cosine", "steep-exponential"])
     @pytest.mark.parametrize("guess, spread", [(ROOT + 3e-7, 1e-6), (ROOT - 4e-9, 1e-8)])
     def test_root_inside_the_prediction_takes_five_calls(self, name, guess, spread):
-        # f(good), the guess, a spread past it, and two probes past the
-        # secant points inside that narrow bracket; the full bracket needs
-        # more.
+        # f(good), the guess, a spread past it, and two secant steps inside
+        # that narrow bracket; the full bracket needs more.
         fn = SMOOTH[name]
         full, full_calls = counted(fn)
         bisect(full, 0.0, 1.0)
@@ -220,8 +219,8 @@ class TestProvedGoodEnd:
             points.append(x)
             return ROOT - x
         assert bisect(traced, 0.0, 1.0, ROOT - 1e-7, 1e-6, good_proved=True) == plain
-        # f(good), the guess, a spread past it and two probes past the
-        # secant points, less f(good).
+        # f(good), the guess, a spread past it and two secant steps, less
+        # f(good).
         assert (calls[0], len(points)) == (5, 4) and 0.0 not in points
 
 
@@ -285,13 +284,31 @@ class TestSlopeHint:
     @pytest.mark.parametrize("offset", [3e-7, -3e-7, 2e-3, -2e-3])
     def test_linear_predicate_with_an_exact_slope_closes_in_three_calls(self, good, bad,
                                                                         offset):
-        # The guess, a spread past its Newton point, and a point on the
-        # other side of the secant point of the two; f(good) is proved.
+        # The guess, a spread past its Newton point, and the secant point of
+        # the two kept TOL/2 inside their bracket; f(good) is proved.
         sign = 1.0 if good < bad else -1.0
         f, calls = counted(lambda x: sign * (ROOT - x))
         x = bisect(f, good, bad, ROOT + offset, 0.0, -sign, good_proved=True)
         assert calls[0] == 3
         assert sign * (ROOT - x) >= 0.0 and abs(x - ROOT) <= TOL
+
+    def test_after_two_probes_the_secant_steps_take_over(self):
+        # The guess and a spread past it bracket the root 1e-6 wide; the
+        # third evaluation is that bracket's secant point, kept TOL/2 inside
+        # its ends, not a further predicted probe.
+        fn = SMOOTH["cosine"]
+        seen = []
+
+        def f(x):
+            seen.append((x, fn(x)))
+            return seen[-1][1]
+        x = bisect(f, 0.0, 1.0, ROOT + 3e-7, 1e-6, good_proved=True)
+        (bad, fb), (good, fg) = seen[:2]
+        assert fg >= 0.0 > fb and abs(bad - good) > TOL
+        secant = (good * fb - bad * fg) / (fb - fg)
+        mid, radius = 0.5 * (good + bad), 0.5 * (abs(bad - good) - TOL)
+        assert seen[2][0] == min(max(secant, mid - radius), mid + radius)
+        assert fn(x) >= 0.0 and abs(x - ROOT) <= TOL
 
     def test_a_guess_within_tol_closes_in_two_calls(self):
         f, calls = counted(lambda x: ROOT - x)
