@@ -84,8 +84,7 @@ def subcarrier_grid(b: float, n_f: int) -> np.ndarray:
     ConfigError
         If ``b`` is outside [0, 2) or ``n_f`` is odd or < 2.
     """
-    if not 0.0 <= b < 2.0:
-        raise ConfigError(f"fractional bandwidth must be in [0, 2), got {b}")
+    _require_fractional_bandwidth(b)
     if n_f < 2 or n_f % 2 != 0:
         raise ConfigError(f"n_f must be an even integer >= 2, got {n_f}")
     b, n_f = float(b), int(n_f)
@@ -93,6 +92,12 @@ def subcarrier_grid(b: float, n_f: int) -> np.ndarray:
     ratios = 1.0 + (2 * n - n_f + 1) * b / (2 * n_f)
     ratios.flags.writeable = False
     return ratios
+
+
+def _require_fractional_bandwidth(b: float) -> None:
+    """Reject a fractional bandwidth outside [0, 2), NaN included."""
+    if not 0.0 <= b < 2.0:
+        raise ConfigError(f"fractional bandwidth must be in [0, 2), got {b}")
 
 
 def gain_mag(x: ArrayLike, cfg: ArrayConfig) -> float | np.ndarray:

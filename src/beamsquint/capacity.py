@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .array_model import (ArrayConfig, ArrayLike, _gain_ratio, gain_mag,
-                          subcarrier_grid)
+from .array_model import (ArrayConfig, ArrayLike, _gain_ratio,
+                          _require_fractional_bandwidth, gain_mag, subcarrier_grid)
 from .errors import ConfigError, DomainError, InfeasibleError
 from .roots import bisect
 
@@ -456,7 +456,9 @@ def gain_region(psi_f: float, r: float, arr: ArrayConfig) -> GainRegion:
     solver of :mod:`beamsquint.roots` within the main lobe; the interval is
     then clipped to the visible region.  ``r`` below 0.25 is rejected:
     sidelobes would start to qualify and are out of scope for this model.
+    A ``psi_f`` outside [-1, 1] is rejected with DomainError.
     """
+    _require_visible("psi_f", psi_f)
     _require_region_ratio(r)
     w = _gain_halfwidth(float(r), arr.n_antennas)
     return GainRegion(psi_f=psi_f, r=r,
@@ -497,8 +499,10 @@ def squint_safe_range(psi_f: float, b: float, arr: ArrayConfig) -> tuple[float, 
     ``psi_f``, for all ratios xi in [1 - b/2, 1 + b/2].  Which band edge
     binds depends on the sign of psi, hence the piecewise division.  The
     result is not clipped to the visible region and may be empty
-    (lo > hi) when ``psi_f`` sits too far out for the given ``b``.
+    (lo > hi) when ``psi_f`` sits too far out for the given ``b``.  ``b``
+    must be in [0, 2), as for :func:`~beamsquint.array_model.subcarrier_grid`.
     """
+    _require_fractional_bandwidth(b)
     c = arr.concave_half_span
     lo_y = psi_f - c
     hi_y = psi_f + c

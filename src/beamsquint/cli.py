@@ -183,9 +183,6 @@ _SWEEP_PARAMS = {
 
 
 def _cmd_sweep(args) -> SweepResult:
-    steps = getattr(args, "steps", None)
-    if steps is not None and steps < 2:
-        raise ConfigError(f"--steps must be >= 2, got {steps}")
     params = _SWEEP_PARAMS[args.kind](args)
     return rerun({"sweep": args.kind,
                   **{k: v for k, v in params.items() if v is not None}})

@@ -53,9 +53,9 @@ import numpy as np
 
 from .array_model import ArrayConfig
 from .capacity import (BandConfig, _capacity_model, _max_offset_ratio, _mirror_margin,
-                       _on_focus_slope_bound, _require_finite_positive,
-                       _require_visible, _sign_margin, beamwidth_nbs, capacity_bs,
-                       capacity_slope_bound, capacity_threshold, gain_region)
+                       _on_focus_slope_bound, _require_finite_positive, _sign_margin,
+                       beamwidth_nbs, capacity_bs, capacity_slope_bound,
+                       capacity_threshold, gain_region)
 from .errors import ConfigError, DomainError, InfeasibleError
 from .roots import TOL, bisect
 
@@ -71,8 +71,9 @@ _MAX_BEAMS = 100_000
 # useful tol_b.
 _BSUP_MAX_ITER = 60
 
-# Most points a focus grid or a sweep's steps may ask for: 100 times the
-# benchmark's largest gain run, and checked before numpy allocates them.
+# Most points a focus grid, a coverage grid or a sweep's steps may ask for:
+# 100 times the benchmark's largest gain run, and checked before numpy
+# allocates them.
 _MAX_POINTS = 10_000_000
 
 # Relative capacity slack of coverage_check.
@@ -82,10 +83,6 @@ _COVERAGE_RTOL = 1e-6
 # verdict to the chains; 16 proves the same 23 cells of the default size
 # sweep as 256 does.
 _PROOF_POINTS = 16
-
-# Grid points per all-beam call of coverage_check's fallback: few enough
-# that an uncovered point ends the check early, many enough to batch.
-_FALLBACK_POINTS = 8
 
 # Degree of the polynomial in the beam index that extrapolates a chain's
 # right edges.
@@ -559,8 +556,9 @@ def coverage_check(cb: Codebook, band: BandConfig, arr: ArrayConfig,
     grid_step`` for every integer ``i`` with ``|i * grid_step| <= psi_m``,
     plus ``+-psi_m`` themselves, so it is exactly symmetric and holds 0.
 
-    Every point is first tested against the beam with the nearest focus (a
-    speed heuristic only).  A run of points with the same nearest beam
+    The beams are taken in focus order, whatever their order in the book,
+    and every point is first tested against the beam with the nearest focus
+    (a speed heuristic only).  A run of points with the same nearest beam
     passes when the capacity at its middle point, less
     :func:`~beamsquint.capacity.capacity_slope_bound` times h, the larger
     distance from that point to the run's ends (at most 1), clears the
@@ -568,24 +566,29 @@ def coverage_check(cb: Codebook, band: BandConfig, arr: ArrayConfig,
     offset on the run is at most 1; the points either side of an unproved
     run's middle form two runs, so no point is evaluated twice.
     A point passes only where the floor is proved or computed, so by M's
-    lemma the verdict equals a point-by-point check at every SNR.  The
-    points that fail are tested against every beam, up to
-    ``_FALLBACK_POINTS`` points per call, and the first point that no beam
-    covers ends the check.  The check depends only on the codebook and the
-    model, never on a solver tolerance.
+    lemma the verdict equals a point-by-point check at every SNR.  Each
+    point that fails is then tested against every beam, one call per point,
+    and the first point that no beam covers ends the check.  The check
+    depends only on the codebook and the model, never on a solver
+    tolerance.  A ``psi_m`` outside (0, 1], a ``c_t`` that is not finite
+    and positive or a focus that is not finite raises DomainError before
+    the grid is built.
     """
+    _require_psi_m(cb.psi_m)
+    if not 0.0 < cb.c_t < math.inf:
+        raise DomainError(f"c_t must be finite and positive, got {cb.c_t}")
+    foci = np.sort([beam.focus for beam in cb.beams])
+    # A NaN capacity is below no floor, so a non-finite focus would pass.
+    if not np.isfinite(foci).all():
+        raise DomainError(f"beam foci must be finite, got {foci[~np.isfinite(foci)][0]}")
+    grid = _coverage_grid(cb.psi_m, grid_step)
     if not cb.beams:
         return False  # the grid holds 0, which no beam covers
-    grid = _coverage_grid(cb.psi_m, grid_step)
-    foci = np.array([beam.focus for beam in cb.beams])
     floor = cb.c_t * (1.0 - _COVERAGE_RTOL)
 
     nearest = np.searchsorted(0.5 * (foci[1:] + foci[:-1]), grid)
     missed = grid[_screen_runs(grid, foci[nearest], floor, cb.c_t, band, arr)]
-    chunks = (missed[i:i + _FALLBACK_POINTS]
-              for i in range(0, len(missed), _FALLBACK_POINTS))
-    return all(np.any(capacity_bs(foci[:, np.newaxis], c, band, arr) >= floor, axis=0).all()
-               for c in chunks)
+    return all(np.any(capacity_bs(foci, psi, band, arr) >= floor) for psi in missed)
 
 
 def _screen_runs(grid: np.ndarray, focus: np.ndarray, floor: float, c_t: float,
@@ -622,8 +625,11 @@ def _screen_runs(grid: np.ndarray, focus: np.ndarray, floor: float, c_t: float,
 
 def _coverage_grid(psi_m: float, step: float) -> np.ndarray:
     """Sorted ``i * step`` for every integer ``i`` with ``|i * step| <=
-    psi_m``, plus ``+-psi_m``."""
+    psi_m``, plus ``+-psi_m``, for a ``psi_m`` in (0, 1]; more than
+    ``_MAX_POINTS`` points are refused before numpy allocates them."""
     _require_finite_positive("grid_step", step)
+    if 2.0 * psi_m / step >= _MAX_POINTS:
+        raise ConfigError(f"coverage grid step {step} gives more than {_MAX_POINTS} points")
     n = math.floor(psi_m / step) + 1  # past the last i, however the division rounds
     grid = np.arange(-n, n + 1) * step
     return np.unique(np.concatenate(([-psi_m, psi_m], grid[np.abs(grid) <= psi_m])))
@@ -638,7 +644,6 @@ def traditional_min_capacity(psi_f: float, r: float, band: BandConfig,
     toward the region edges; the minimum is taken over the two (clipped)
     edges.
     """
-    _require_visible("psi_f", psi_f)
     region = gain_region(psi_f, r, arr)
     return min(capacity_bs(psi_f, region.lo, band, arr),
                capacity_bs(psi_f, region.hi, band, arr))

@@ -15,7 +15,8 @@ import beamsquint
 from beamsquint import (ArrayConfig, BandConfig, ConfigError, DomainError,
                         InfeasibleError, beamwidth_nbs, capacity_bs, capacity_nbs,
                         capacity_threshold, capacity_threshold_3db, design_codebook,
-                        gain_region, spectral_efficiency_bs, squint_safe_range)
+                        gain_region, spectral_efficiency_bs, squint_safe_range,
+                        subcarrier_grid)
 from beamsquint import capacity
 from beamsquint.capacity import MIN_REGION_R, _capacity_rows, capacity_slope_bound
 from beamsquint.roots import TOL
@@ -475,6 +476,12 @@ class TestGainRegion:
         with pytest.raises(DomainError):
             gain_region(0.0, r, arr64)
 
+    @pytest.mark.parametrize("psi_f", [5.0, -1.5, math.nan])
+    def test_focus_must_be_visible(self, psi_f, arr16):
+        # Past endfire the clipped region would have lo > hi.
+        with pytest.raises(DomainError, match=r"psi_f must be in \[-1, 1\]"):
+            gain_region(psi_f, SQRT2_OVER_2, arr16)
+
 
 class TestBeamwidthNbs:
     def test_three_db_width(self, arr64):
@@ -526,6 +533,15 @@ class TestBeamwidthNbs:
 
 class TestSquintNeverHelps:
     """Squint cannot raise capacity on the squint-safe angle range."""
+
+    @pytest.mark.parametrize("b", [2.0, 3.0, -0.1, math.nan])
+    def test_safe_range_takes_the_bands_fractional_bandwidths(self, b, arr16):
+        # b = 2 puts the lower band edge at frequency 0.
+        with pytest.raises(ConfigError) as safe:
+            squint_safe_range(0.5, b, arr16)
+        with pytest.raises(ConfigError) as band:
+            subcarrier_grid(b, 64)
+        assert str(safe.value) == str(band.value)
 
     def test_capacity_bound_seeded_sample(self):
         rng = np.random.default_rng(4242)

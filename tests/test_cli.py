@@ -284,6 +284,10 @@ class TestConfigErrors:
          "0.01", "--subcarriers", "64", "--psi-f-step", "0.5", "--snr-db", "3080"],
         ["verify", "--fact1-samples", "1", "--fact2-samples", "1", "--fact3-n-list",
          "16", "--tol-b", "0.5", "--snr-db", "3080"],
+        # Too few steps, refused by the sweep itself.
+        ["gain", "--antennas", "8", "--steps", "1"],
+        ["sweep", "--kind", "capacity-vs-bandwidth", "--n-list", "16",
+         "--steps", "0", "--subcarriers", "64"],
     ], ids=["snr-nan", "snr-inf", "ct-nan", "tol-b-nan", "x-min-nan",
             "psi-out-of-range", "psi-f-step-0", "psi-f-step-nan",
             "psi-f-step-negative", "bw-min-negative", "bw-min-0",
@@ -295,7 +299,8 @@ class TestConfigErrors:
             "gain-steps-oversize", "bandwidth-sweep-steps-oversize",
             "psi-f-step-oversize", "improvement-max-overflow", "improvement-overflow",
             "capacity-overflow", "improvement-max-sweep-overflow",
-            "focus-sweep-overflow", "verify-overflow"])
+            "focus-sweep-overflow", "verify-overflow", "gain-steps-1",
+            "bandwidth-sweep-steps-0"])
     def test_non_finite_or_out_of_domain_exits_2(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 2

@@ -457,6 +457,19 @@ def designed(n, band):
     return design_codebook(1.0, threshold(band, arr), band, arr), arr
 
 
+def checked_points(cb, band, arr, step):
+    """coverage_check's verdict on ``cb`` and the points it evaluates."""
+    points = [0]
+
+    def counting(psi_f, psi, *rest):
+        points[0] += np.broadcast(np.asarray(psi_f), np.asarray(psi)).size
+        return capacity_bs(psi_f, psi, *rest)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(codebook, "capacity_bs", counting)
+        return coverage_check(cb, band, arr, grid_step=step), points[0]
+
+
 def squint_ignoring(n, band):
     """Uniform tiling by the carrier-only 3 dB gain region."""
     arr = ArrayConfig(n)
@@ -516,9 +529,38 @@ class TestCoverageCheck:
             with pytest.raises(ConfigError):
                 coverage_check(cb, band, arr, grid_step=step)
 
+    @pytest.mark.parametrize("psi_m", [math.inf, math.nan, 0.0, -0.5, 1.5])
+    def test_psi_m_must_be_in_domain(self, psi_m):
+        # As design_codebook rejects it, and before a grid is built.
+        cb = Codebook(beams=(Beam(0.0, -1.0, 1.0),), psi_m=psi_m, c_t=1.0)
+        with pytest.raises(DomainError, match="psi_m"):
+            coverage_check(cb, band_for(0.01, n_f=64), ArrayConfig(16), grid_step=1e-3)
+
+    @pytest.mark.parametrize("c_t", [math.nan, math.inf, 0.0, -1.0])
+    def test_c_t_must_be_finite_and_positive(self, c_t):
+        # No capacity falls below a NaN floor, so such a book would pass.
+        cb = Codebook(beams=(Beam(0.0, -1.0, 1.0),), psi_m=1.0, c_t=c_t)
+        with pytest.raises(DomainError, match="c_t"):
+            coverage_check(cb, band_for(0.01, n_f=64), ArrayConfig(16), grid_step=1e-3)
+
+    @pytest.mark.parametrize("focus", [math.nan, math.inf, -math.inf])
+    def test_foci_must_be_finite(self, focus):
+        # Its capacity is NaN, which the screen would take as proved.
+        band = band_for(0.01, n_f=64)
+        cb, arr = designed(16, band)
+        bad = Codebook(beams=cb.beams + (Beam(focus, -1.0, 1.0),), psi_m=1.0, c_t=cb.c_t)
+        with pytest.raises(DomainError, match="foci"):
+            coverage_check(bad, band, arr, grid_step=1e-3)
+
+    def test_grid_is_refused_before_numpy_allocates_it(self):
+        # 2e12 points would take 14.6 TiB.
+        cb = Codebook(beams=(Beam(0.0, -1.0, 1.0),), psi_m=1.0, c_t=1.0)
+        with pytest.raises(ConfigError, match="coverage grid step"):
+            coverage_check(cb, band_for(0.01, n_f=64), ArrayConfig(16), grid_step=1e-12)
+
     def test_verdict_does_not_depend_on_beam_order(self):
-        # With the beams reversed the nearest-focus guess is wrong for most
-        # points; the all-beam fallback must still find each point's beam.
+        # The beams are taken in focus order, so the reversed book is
+        # checked exactly as the designed one is.
         arr = ArrayConfig(16)
         band = band_for(0.0179, n_f=256)
         cb = design_codebook(1.0, threshold(band, arr), band, arr)
@@ -648,30 +690,23 @@ class TestCoverageScreen:
                               psi_m=cb.psi_m, c_t=cb.c_t)
             self.same_verdict(pruned, band, arr, 1e-4, False)
 
-    def screened_points(self, n, band, monkeypatch):
+    def screened_points(self, n, band):
         """Points coverage_check evaluates on the N-antenna 3 dB design for
         ``band``, at step 1e-4; the design passes."""
         cb, arr = designed(n, band)
-        points = [0]
-
-        def counting(psi_f, psi, *rest):
-            points[0] += np.broadcast(np.asarray(psi_f), np.asarray(psi)).size
-            return capacity_bs(psi_f, psi, *rest)
-
-        monkeypatch.setattr(codebook, "capacity_bs", counting)
-        assert coverage_check(cb, band, arr, grid_step=1e-4)
+        verdict, points = checked_points(cb, band, arr, 1e-4)
+        assert verdict
         assert len(_coverage_grid(1.0, 1e-4)) == 20_001
-        return points[0]
+        return points
 
-    def test_low_snr_screen_evaluates_fewer_points_than_the_grid(self, monkeypatch):
+    def test_low_snr_screen_evaluates_fewer_points_than_the_grid(self):
         # At N*snr << 1 the slope bound's factor 2*snr*sqrt(N) is far below
         # sqrt(snr), so the screen proves most runs: 3,501 evaluated points
         # for the 20,001-point grid (4,234 when runs of up to 4 points were
         # evaluated point by point, 4,920 when each run's probe was an extra
         # point, 25,987 with sqrt(snr) alone).
         n = 128
-        assert self.screened_points(n, band_for(2.0 / n, n_f=256, snr=1e-8),
-                                    monkeypatch) <= 3_501
+        assert self.screened_points(n, band_for(2.0 / n, n_f=256, snr=1e-8)) <= 3_501
 
     @pytest.mark.parametrize("n, band, most", [
         # About 17 grid points a beam, and short runs halved like long ones
@@ -685,8 +720,8 @@ class TestCoverageScreen:
         (64, band_for(2.5 / 73), 4_286),
         (32, band_for(2.5 / 73), 1_681),
     ], ids=["n1024-low-snr", "n64-scan", "n32-scan"])
-    def test_screen_evaluates_each_point_at_most_once(self, n, band, most, monkeypatch):
-        assert self.screened_points(n, band, monkeypatch) <= most
+    def test_screen_evaluates_each_point_at_most_once(self, n, band, most):
+        assert self.screened_points(n, band) <= most
 
     @pytest.mark.parametrize("expected", [True, False])
     def test_offsets_past_one(self, expected):
@@ -709,6 +744,46 @@ class TestCoverageScreen:
         cb, arr = designed(16, band)
         reversed_ = Codebook(beams=cb.beams[::-1], psi_m=cb.psi_m, c_t=cb.c_t)
         self.same_verdict(reversed_, band, arr, 1e-3, True)
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(data=st.data())
+    def test_any_beam_order_gets_the_ordered_verdict_and_points(self, data):
+        band = band_for(0.0179, n_f=256)
+        cb, arr = designed(16, band)
+        drop = data.draw(st.one_of(st.none(), st.integers(0, cb.size - 1)))
+        beams = cb.beams if drop is None else cb.beams[:drop] + cb.beams[drop + 1:]
+        ordered = Codebook(beams=beams, psi_m=cb.psi_m, c_t=cb.c_t)
+        shuffled = Codebook(beams=tuple(data.draw(st.permutations(beams))),
+                            psi_m=cb.psi_m, c_t=cb.c_t)
+        verdict, points = checked_points(ordered, band, arr, 1e-3)
+        assert verdict is (drop is None)
+        assert checked_points(shuffled, band, arr, 1e-3) == (verdict, points)
+
+    @pytest.mark.parametrize("pruned", [False, True])
+    def test_each_missed_point_is_checked_against_every_beam(self, pruned, monkeypatch):
+        # With every point left by the screen, each grid point takes one
+        # all-beam call, up to the first point that no beam covers.
+        step = 1e-3
+        band = band_for(0.0179, n_f=256)
+        cb, arr = designed(16, band)
+        if pruned:
+            k = cb.size // 2
+            cb = Codebook(beams=cb.beams[:k] + cb.beams[k + 1:], psi_m=cb.psi_m, c_t=cb.c_t)
+        grid = _coverage_grid(1.0, step)
+        foci = np.array([beam.focus for beam in cb.beams])[:, np.newaxis]
+        covered = np.any(capacity_bs(foci, grid, band, arr) >= cb.c_t * (1 - 1e-6), axis=0)
+        assert covered.all() == (not pruned)
+        calls = []
+
+        def counting(psi_f, psi, *rest):
+            calls.append(np.broadcast(np.asarray(psi_f), np.asarray(psi)).size)
+            return capacity_bs(psi_f, psi, *rest)
+
+        monkeypatch.setattr(codebook, "_screen_runs", lambda grid, *rest: np.ones(len(grid), bool))
+        monkeypatch.setattr(codebook, "capacity_bs", counting)
+        assert coverage_check(cb, band, arr, grid_step=step) is not pruned
+        first = int(np.argmin(covered)) + 1 if pruned else len(grid)
+        assert calls == [cb.size] * first
 
     def test_nudged_focus_opens_a_small_hole(self):
         # Moving one focus right by 3.5 grid steps uncovers the few grid
