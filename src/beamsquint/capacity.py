@@ -100,8 +100,6 @@ class GainRegion:
     """Angle interval around ``psi_f`` where the carrier gain stays at or
     above ``r`` times the peak, clipped to the visible region [-1, 1]."""
 
-    psi_f: float
-    r: float
     lo: float
     hi: float
 
@@ -461,8 +459,7 @@ def gain_region(psi_f: float, r: float, arr: ArrayConfig) -> GainRegion:
     _require_visible("psi_f", psi_f)
     _require_region_ratio(r)
     w = _gain_halfwidth(float(r), arr.n_antennas)
-    return GainRegion(psi_f=psi_f, r=r,
-                      lo=max(psi_f - w, -1.0), hi=min(psi_f + w, 1.0))
+    return GainRegion(lo=max(psi_f - w, -1.0), hi=min(psi_f + w, 1.0))
 
 
 def beamwidth_nbs(c_t: float, band: BandConfig, arr: ArrayConfig) -> float:
@@ -500,8 +497,10 @@ def squint_safe_range(psi_f: float, b: float, arr: ArrayConfig) -> tuple[float, 
     binds depends on the sign of psi, hence the piecewise division.  The
     result is not clipped to the visible region and may be empty
     (lo > hi) when ``psi_f`` sits too far out for the given ``b``.  ``b``
-    must be in [0, 2), as for :func:`~beamsquint.array_model.subcarrier_grid`.
+    must be in [0, 2), as for :func:`~beamsquint.array_model.subcarrier_grid`,
+    and a ``psi_f`` outside [-1, 1] is rejected with DomainError.
     """
+    _require_visible("psi_f", psi_f)
     _require_fractional_bandwidth(b)
     c = arr.concave_half_span
     lo_y = psi_f - c

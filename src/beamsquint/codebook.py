@@ -142,8 +142,6 @@ class FeasibilityReport:
     odd size's failing focus in ``failing_focus`` and the even size's in
     ``even_focus``, as :class:`~beamsquint.errors.InfeasibleError` does."""
 
-    n: int
-    b: float
     failing_focus: float | None = None
     size_if_feasible: int | None = None
     even_focus: float | None = None
@@ -270,8 +268,7 @@ class _Track:
     polynomial through the last ``_ORDER + 1`` offsets, taken against the
     beam index; it is trusted while the last two extrapolations missed the
     root by at most ``_TRUSTED``, and otherwise starts the Newton steps of
-    :func:`_aim`.  The last offset also starts a focus solve, see
-    :func:`_grow_chain`.
+    :func:`_aim`.
     """
 
     def __init__(self):
@@ -319,58 +316,6 @@ def _extrapolate(ys: Sequence[float], order: int) -> float:
     ys = ys[-order - 1:]
     k = len(ys)
     return sum((-1) ** (k - 1 - i) * math.comb(k, i) * y for i, y in enumerate(ys))
-
-
-def _grow_chain(start: Beam | None, edges: _Track, psi_m: float, c_t: float,
-                band: BandConfig, arr: ArrayConfig, reach: float) -> list[Beam]:
-    """Chain beams rightward from the beam ``start`` (from 0 when it is
-    None) until psi_m is covered.
-
-    ``edges`` is the chain's :class:`_Track`: empty for the even parity,
-    holding the odd centre beam's edge.  Each focus is the previous one
-    mirrored about their shared edge, 2*left - focus (see the module
-    docstring), taken with no capacity evaluation when the last edge
-    solve's good end ``left`` clears c_t by
-    :func:`~beamsquint.capacity._mirror_margin` and every offset at both
-    foci is at most 1: the computed C(mirror, left) then meets c_t, and the
-    mirror lies within TOL of the crossing, on the edge's side.  Otherwise
-    the focus is solved from a probe at left plus the last offset on
-    ``edges`` (the even chain's first from the full bracket, whose end it
-    is).  Either way the chain fails where C(left, left) < c_t, evaluated
-    unless |left| is within ``reach``.  Each edge solve is aimed by
-    ``edges`` or by the capacity model, see :func:`solve_right_edge`.  The
-    mirror margin and the band's outer ratios are computed once per chain.
-    Each parity starts its own record, so its beams are the same bits
-    whichever parity is built first, and an :func:`estimate_bsup` probe's
-    verdict is that of a full design.
-    """
-    out: list[Beam] = []
-    focus, right = (start.focus, start.right) if start else (math.nan, 0.0)
-    margin, outer = _mirror_margin(band, arr), band.ratios[[0, -1]].tolist()
-    while right < psi_m:
-        left = right
-        mirror = 2.0 * left - focus
-        x, excess = edges.ends.get(True, (None, -math.inf))
-        offsets = [xi * left - f for xi in outer for f in (focus, mirror)]
-        if (x == left and excess >= margin(left, mirror)
-                and max(map(abs, offsets)) <= 1.0):
-            if abs(left) > reach and capacity_bs(left, left, band, arr) < c_t:
-                raise _no_focus(left)
-            focus = mirror
-        else:
-            guess = left + edges.offsets[-1] if edges.offsets else None
-            focus = solve_focus_from_left(left, c_t, band, arr, guess=guess, reach=reach)
-        edge = solve_right_edge(focus, c_t, band, arr, track=edges, reach=reach)
-        if edge - left < _MIN_BEAM_WIDTH:
-            raise InfeasibleError(
-                f"beam coverage collapsed below solver resolution at focus {focus}",
-                focus)
-        out.append(Beam(focus, left, edge))
-        right = edge
-        if len(out) > _MAX_BEAMS:
-            raise InfeasibleError(
-                f"beam count exceeded {_MAX_BEAMS} before reaching {psi_m}", focus)
-    return out
 
 
 def design_codebook(psi_m: float, c_t: float, band: BandConfig,
@@ -520,18 +465,59 @@ def _proved_infeasible(psi_m: float, c_t: float, band: BandConfig,
 
 def _codebook(parity: str, psi_m: float, c_t: float, band: BandConfig,
               arr: ArrayConfig, reach: float) -> Codebook:
-    """The codebook of one ``parity``, its positive side chained outward and
-    mirrored about broadside: for the odd size from the right edge of a
-    beam centred on broadside, for the even size from 0, so that pairs
-    straddle broadside."""
-    centre, edges = [], _Track()
+    """The codebook of one ``parity``: its positive side is chained outward
+    until psi_m is covered and mirrored about broadside.  The odd size
+    starts from the right edge of a beam centred on broadside, the even
+    size from 0, so that pairs straddle broadside.
+
+    Each focus is the previous one mirrored about their shared edge, 2*left
+    - focus (see the module docstring), taken with no capacity evaluation
+    when the last edge solve's good end ``left`` clears c_t by
+    :func:`~beamsquint.capacity._mirror_margin` and every offset at both
+    foci is at most 1: the computed C(mirror, left) then meets c_t, and the
+    mirror lies within TOL of the crossing, on the edge's side.  Otherwise
+    the focus is solved from a probe at the mirror (the even chain's first
+    from the full bracket, whose end it is).  Either way the chain fails
+    where C(left, left) < c_t, evaluated unless |left| is within ``reach``.
+    Each edge solve is aimed by the chain's :class:`_Track`, which starts
+    with the odd centre beam's edge, or by the capacity model, see
+    :func:`solve_right_edge`.  The mirror margin and the band's outer
+    ratios are computed once per chain.  Each parity starts its own record,
+    so its beams are the same bits whichever parity is built first, and an
+    :func:`estimate_bsup` probe's verdict is that of a full design.
+    """
+    edges, beams = _Track(), []
+    focus, right = math.nan, 0.0
     if parity == "odd":
-        edge = solve_right_edge(0.0, c_t, band, arr, track=edges, reach=reach)
-        centre = [Beam(0.0, 0.0 - edge, edge)]
-    chain = _grow_chain(centre[0] if centre else None, edges, psi_m, c_t, band, arr, reach)
+        focus, right = 0.0, solve_right_edge(0.0, c_t, band, arr, track=edges, reach=reach)
+        beams.append(Beam(focus, 0.0 - right, right))
+    margin, outer = _mirror_margin(band, arr), band.ratios[[0, -1]].tolist()
+    while right < psi_m:
+        left = right
+        mirror = 2.0 * left - focus
+        x, excess = edges.ends.get(True, (None, -math.inf))
+        offsets = [xi * left - f for xi in outer for f in (focus, mirror)]
+        if (x == left and excess >= margin(left, mirror)
+                and max(map(abs, offsets)) <= 1.0):
+            if abs(left) > reach and capacity_bs(left, left, band, arr) < c_t:
+                raise _no_focus(left)
+            focus = mirror
+        else:
+            guess = None if math.isnan(mirror) else mirror
+            focus = solve_focus_from_left(left, c_t, band, arr, guess=guess, reach=reach)
+        right = solve_right_edge(focus, c_t, band, arr, track=edges, reach=reach)
+        if right - left < _MIN_BEAM_WIDTH:
+            raise InfeasibleError(
+                f"beam coverage collapsed below solver resolution at focus {focus}",
+                focus)
+        beams.append(Beam(focus, left, right))
+        if len(beams) > _MAX_BEAMS:
+            raise InfeasibleError(
+                f"beam count exceeded {_MAX_BEAMS} before reaching {psi_m}", focus)
     # 0.0 - x rather than -x keeps a 0.0 edge from turning into -0.0.
-    mirrored = [Beam(0.0 - b.focus, 0.0 - b.right, 0.0 - b.left) for b in reversed(chain)]
-    return Codebook(beams=tuple(mirrored + centre + chain), psi_m=psi_m, c_t=c_t)
+    mirrored = [Beam(0.0 - b.focus, 0.0 - b.right, 0.0 - b.left)
+                for b in reversed(beams[parity == "odd":])]
+    return Codebook(beams=tuple(mirrored + beams), psi_m=psi_m, c_t=c_t)
 
 
 def assess_feasibility(psi_m: float, c_t: float, band: BandConfig,
@@ -540,10 +526,8 @@ def assess_feasibility(psi_m: float, c_t: float, band: BandConfig,
     try:
         cb = design_codebook(psi_m, c_t, band, arr)
     except InfeasibleError as exc:
-        return FeasibilityReport(n=arr.n_antennas, b=band.b,
-                                 failing_focus=exc.failing_focus,
-                                 even_focus=exc.even_focus)
-    return FeasibilityReport(n=arr.n_antennas, b=band.b, size_if_feasible=cb.size)
+        return FeasibilityReport(failing_focus=exc.failing_focus, even_focus=exc.even_focus)
+    return FeasibilityReport(size_if_feasible=cb.size)
 
 
 def coverage_check(cb: Codebook, band: BandConfig, arr: ArrayConfig,

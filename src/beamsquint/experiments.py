@@ -9,6 +9,7 @@ around small capacity calls, so threads would only contend for the GIL.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -256,6 +257,8 @@ def verify_facts(fact1_samples: int = 2000, fact2_samples: int = 2000,
                           f"{fact1_samples}, {fact2_samples} and {seed}")
     if not 1e-6 <= b_max < 2.0:  # fact 2 draws b from [1e-6, b_max)
         raise ConfigError(f"b_max must be in [1e-6, 2), got {b_max}")
+    if len(n_range) != 2 or not 2 <= n_range[0] <= n_range[1]:
+        raise ConfigError(f"n_range must be (lo, hi) with 2 <= lo <= hi, got {tuple(n_range)}")
     _bands((), n_f, snr)
     _require_tol_b(fact3_tol_b)
     _require_region_ratio(fact3_r)
@@ -352,17 +355,27 @@ def rerun(params: Mapping) -> SweepResult:
     """Re-execute a sweep from its emitted ``params`` mapping.
 
     The remaining inputs are passed to the sweep as keywords; ``n_antennas``
-    is decoded to the ``arr`` (one size) or ``arrays`` (a list) argument.
-    The result's rows are reproduced bit for bit.
+    is decoded to the sweep's ``arr`` (one size) or ``arrays`` (a list)
+    argument.  The result's rows are reproduced bit for bit.  Keys that the
+    sweep does not take, its required inputs that are absent, and a size
+    list where it takes one size or the reverse raise ConfigError.
     """
     p = {k: v for k, v in dict(params).items() if k not in _METADATA_KEYS}
     kind = p.pop("sweep", None)
     if kind not in _SWEEPS:
         raise ConfigError(f"unknown sweep kind: {kind!r}")
+    signature = inspect.signature(_SWEEPS[kind]).parameters
+    takes = {"n_antennas" if k in ("arr", "arrays") else k: q for k, q in signature.items()}
+    unknown = sorted(set(p) - set(takes))
+    missing = [k for k, q in takes.items() if q.default is q.empty and k not in p]
+    if unknown or missing:
+        raise ConfigError(f"{kind} params: unknown {unknown}, missing {missing}")
     if "n_antennas" in p:
         n = p.pop("n_antennas")
-        if isinstance(n, list):
+        if "arr" in signature:
+            p["arr"] = ArrayConfig(n)
+        elif isinstance(n, list):
             p["arrays"] = [ArrayConfig(k) for k in n]
         else:
-            p["arr"] = ArrayConfig(n)
+            raise ConfigError(f"{kind} params: n_antennas must be a list, got {n!r}")
     return _SWEEPS[kind](**p)

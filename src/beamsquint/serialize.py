@@ -40,10 +40,13 @@ def _all_floats(values) -> bool:
     return all(issubclass(t, float) for t in set(map(type, values)))
 
 
-def _float_rows(rows) -> bool:
-    """True when every entry is a non-empty list or tuple of floats."""
-    return (all(isinstance(r, (list, tuple)) and r for r in rows)
-            and _all_floats(itertools.chain.from_iterable(rows)))
+class _FloatTable:
+    """A sweep's rows, which are rows of floats by type: :func:`_emit`
+    writes them as one table by :func:`_float_chunks`, with no check of
+    their values.  The rows are held, not copied."""
+
+    def __init__(self, rows):
+        self.rows = rows
 
 
 def _float_list(values) -> str:
@@ -66,6 +69,9 @@ def _float_chunks(rows, template: Callable[[int], str], sep: str) -> Iterator[st
 def _emit(obj: Any, level: int) -> str:
     pad = _INDENT * (level + 1)
     close_pad = _INDENT * level
+    table = isinstance(obj, _FloatTable)
+    if table:
+        obj = obj.rows
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -75,13 +81,13 @@ def _emit(obj: Any, level: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if _all_floats(obj):
-            return _float_list(obj)
-        if all(_is_scalar(v) for v in obj):
-            return "[" + ", ".join(_emit(v, level + 1) for v in obj) + "]"
-        if _float_rows(obj):  # a table of float lists
+        if table:
             parts = _float_chunks(obj, lambda k: pad + "[" + ", ".join(["%s"] * k) + "]",
                                   ",\n")
+        elif _all_floats(obj):
+            return _float_list(obj)
+        elif all(_is_scalar(v) for v in obj):
+            return "[" + ", ".join(_emit(v, level + 1) for v in obj) + "]"
         else:
             parts = [f"{pad}{_emit(v, level + 1)}" for v in obj]
         return "[\n" + ",\n".join(parts) + "\n" + close_pad + "]"
@@ -159,5 +165,5 @@ def sweep_to_json(sr: SweepResult) -> str:
         "name": sr.name,
         "params": sr.params,
         "columns": [[label, unit] for label, unit in sr.columns],
-        "rows": sr.rows,
+        "rows": _FloatTable(sr.rows),
     })

@@ -543,6 +543,11 @@ class TestSquintNeverHelps:
             subcarrier_grid(b, 64)
         assert str(safe.value) == str(band.value)
 
+    @pytest.mark.parametrize("psi_f", [math.nan, 7.0, -1.5])
+    def test_safe_range_rejects_an_invisible_focus(self, psi_f, arr16):
+        with pytest.raises(DomainError, match="psi_f"):
+            squint_safe_range(psi_f, 0.1, arr16)
+
     def test_capacity_bound_seeded_sample(self):
         rng = np.random.default_rng(4242)
         checked = 0

@@ -75,6 +75,13 @@ def threshold(band, arr, r=SQRT2_OVER_2):
     return capacity_threshold(r, band, arr)
 
 
+# Designs whose chains, with no mirror proved, solve every focus.
+UNPROVED_MIRROR_CASES = [
+    (16, band_for(1.5 / 16, n_f=256)),
+    (64, BandConfig.from_hz(2.5e9, 73e9, n_f=2048, snr=1.0)),
+]
+
+
 class TestEdgeSolvers:
     def test_right_edge_zero_bandwidth_hits_bracket_end(self):
         arr = ArrayConfig(32)
@@ -324,6 +331,62 @@ class TestDesignCodebook:
                 assert str(a).replace(str(a.failing_focus), "") == \
                     str(b).replace(str(b.failing_focus), "")
                 assert abs(a.failing_focus - b.failing_focus) <= n * TOL
+
+    @pytest.mark.parametrize("n, band", UNPROVED_MIRROR_CASES)
+    def test_an_unproved_mirror_costs_a_focus_solve_two_evaluations(self, n, band,
+                                                                      monkeypatch):
+        # With a margin no excess clears, every focus is solved from a probe
+        # at its mirror, the prediction the margin would have proved; the
+        # books keep their sizes and parities and cover their range, and a
+        # focus solve takes at most 2 capacity evaluations on average.
+        arr = ArrayConfig(n)
+        c_t = capacity_threshold_3db(band, arr)
+        want = [(cb.size, cb.parity) for cb in codebook._parities(1.0, c_t, band, arr)]
+        counts, solves = {"capacity": 0}, []
+
+        def evaluate(*args):
+            counts["capacity"] += 1
+            return capacity_bs(*args)
+
+        def solve(*args, **kwargs):
+            before = counts["capacity"]
+            focus = solve_focus_from_left(*args, **kwargs)
+            solves.append(counts["capacity"] - before)
+            return focus
+
+        monkeypatch.setattr(codebook, "capacity_bs", evaluate)
+        monkeypatch.setattr(codebook, "solve_focus_from_left", solve)
+        monkeypatch.setattr(codebook, "_mirror_margin", lambda *args: lambda *a: math.inf)
+        books = list(codebook._parities(1.0, c_t, band, arr))
+        assert [(cb.size, cb.parity) for cb in books] == want
+        assert all(coverage_check(cb, band, arr, grid_step=1e-4) for cb in books)
+        assert len(solves) == sum(cb.size // 2 for cb in books)
+        assert sum(solves) <= 2 * len(solves)
+
+    @pytest.mark.parametrize("n, band", UNPROVED_MIRROR_CASES)
+    def test_an_unproved_focus_is_probed_at_the_mirror(self, n, band, monkeypatch):
+        # Each focus solve's guess is the previous focus mirrored about the
+        # shared edge, bit for bit; the even chain's first focus, with no
+        # previous focus, gets none.
+        arr = ArrayConfig(n)
+        c_t = capacity_threshold_3db(band, arr)
+        reach = codebook._certified_reach(1.0, c_t, band, arr)
+        monkeypatch.setattr(codebook, "_mirror_margin", lambda *args: lambda *a: math.inf)
+        for parity in ("odd", "even"):
+            guesses = []
+
+            def solve(*args, guess=None, **kwargs):
+                guesses.append(guess)
+                return solve_focus_from_left(*args, guess=guess, **kwargs)
+
+            monkeypatch.setattr(codebook, "solve_focus_from_left", solve)
+            cb = codebook._codebook(parity, 1.0, c_t, band, arr, reach)
+            chain = [k for k, beam in enumerate(cb.beams) if beam.left >= 0.0]
+            want = [None if cb.beams[k].left == 0.0
+                    else (2.0 * cb.beams[k].left - cb.beams[k - 1].focus).hex()
+                    for k in chain]
+            assert [None if g is None else g.hex() for g in guesses] == want
+            assert (want[0] is None) == (parity == "even")
 
     @pytest.mark.parametrize("wrong", ["off", "nan"])
     @pytest.mark.parametrize("n, bn, snr, r", [

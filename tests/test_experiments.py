@@ -265,6 +265,14 @@ class TestVerifyFacts:
         assert own != codebook.estimate_bsup(ArrayConfig(8), SQRT2_OVER_2, 1.0, tol_b=1e-4)
         assert own == pytest.approx(0.38446044, abs=1e-8)
 
+    @pytest.mark.parametrize("n_range", [(4, 2), (1, 8), (0, 0), (2, math.nan), (2, 4, 8)])
+    def test_rejects_an_n_range_before_sampling(self, n_range, monkeypatch):
+        # (1, 8) used to fail only if an N=1 happened to be drawn.
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(ConfigError, match="n_range"):
+            verify_facts(fact1_samples=10, fact2_samples=10, n_range=n_range,
+                         fact3_n_values=())
+
     def test_fact3_can_be_skipped(self):
         sr = verify_facts(fact1_samples=10, fact2_samples=10, fact3_n_values=())
         assert sr.rows[2] == (3.0, 0.0, 0.0, 0.0)
@@ -296,6 +304,23 @@ class TestDeterminism:
         again = rerun(first.params)
         assert again.rows == first.rows
         assert again.columns == first.columns
+
+    @pytest.mark.parametrize("params, message", [
+        ({"sweep": "gain-pattern", "n_antennas": 16, "bogus": 1},
+         "gain-pattern params: unknown ['bogus'], missing []"),
+        ({"sweep": "improvement-vs-focus", "n_antennas": [8], "b": 0.01},
+         "improvement-vs-focus params: unknown [], missing ['r', 'snr']"),
+        ({"sweep": "gain-pattern", "steps": 11, "x": 1},
+         "gain-pattern params: unknown ['x'], missing ['n_antennas']"),
+        ({"sweep": "gain-pattern", "n_antennas": [16]},
+         "n_antennas must be an integer, got [16]"),
+        ({"sweep": "improvement-vs-focus", "n_antennas": 8, "b": 0.01, "r": 0.7, "snr": 1.0},
+         "improvement-vs-focus params: n_antennas must be a list, got 8"),
+    ])
+    def test_rerun_names_unknown_and_missing_params(self, params, message):
+        with pytest.raises(ConfigError) as err:
+            rerun(params)
+        assert str(err.value) == message
 
     def test_rerun_rejects_unknown_kind(self):
         with pytest.raises(ConfigError):

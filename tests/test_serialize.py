@@ -92,18 +92,31 @@ class TestFloatTables:
         [[1.0, 2.0], [3.0]],
         ((0.5,), [np.float64(1.5), 2.5]),
         [[1.0], []],
+    ])
+    def test_table_bytes_equal_row_by_row_emission(self, rows):
+        # A sweep's rows are emitted as one table; the bytes are those of
+        # emitting each row on its own.
+        assert to_json({"rows": serialize._FloatTable(rows)}) == to_json({"rows": rows})
+        assert to_json(serialize._FloatTable(())) == to_json([]) == "[]\n"
+
+    @pytest.mark.parametrize("rows", [
         [[1, 2.0], [3.0]],
         [[True, 1.0]],
         [[[1.0]], [2.0]],
         [{"x": 1.0}, [1.0]],
         [[1.0], None],
     ])
-    def test_table_bytes_equal_row_by_row_emission(self, monkeypatch, rows):
-        # A list of non-empty float rows is emitted as one table; the bytes
-        # are those of emitting each row on its own.
-        table = to_json({"rows": rows})
-        monkeypatch.setattr(serialize, "_float_rows", lambda rows: False)
-        assert to_json({"rows": rows}) == table
+    def test_other_lists_round_trip(self, rows):
+        text = to_json({"rows": rows})
+        assert json.loads(text) == {"rows": rows}
+        assert to_json(json.loads(text)) == text
+
+    def test_sweep_rows_are_floats_in_json_as_in_csv(self):
+        sr = SweepResult(name="t", columns=(("x", "-"), ("y", "-")),
+                         rows=((1, True),), params={})
+        assert json.loads(sweep_to_json(sr))["rows"] == [[1.0, 1.0]]
+        assert "[1.0000000000000000e+00, 1.0000000000000000e+00]" in sweep_to_json(sr)
+        assert sweep_to_csv(sr).endswith("\n1.0000000000000000e+00,1.0000000000000000e+00\n")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_still_rejected(self, bad):
