@@ -131,24 +131,95 @@ def capacity_bs(psi_f: ArrayLike, psi: ArrayLike, band: BandConfig,
     pf, ps = np.asarray(psi_f, dtype=float), np.asarray(psi, dtype=float)
     if pf.ndim == 0 and ps.ndim == 0:
         x = np.multiply(band.ratios, float(ps))
-        return float(_rate_sum(np.subtract(x, float(pf), out=x), band, arr))
+        return float(_rate_sum(_rate_terms(np.subtract(x, float(pf), out=x), band, arr),
+                               band))
     pf, ps = np.broadcast_arrays(pf, ps)
     return _capacity_rows(pf.ravel(), ps.ravel(), band, arr).reshape(ps.shape)
 
 
-def _rate_sum(x: np.ndarray, band: BandConfig, arr: ArrayConfig) -> np.ndarray:
-    """Squinted capacity from the squinted angles ``x``, one subcarrier per
-    entry along the last axis; ``x`` is overwritten.
-
-    Equals B/n_f * sum(log2(1 + snr*gain_mag(x)**2)) bit for bit: the
-    signed gain ratio squares to the same bits as its magnitude.
-    """
+def _rate_terms(x: np.ndarray, band: BandConfig, arr: ArrayConfig) -> np.ndarray:
+    """The rate terms log2(1 + snr*gain_mag(x)**2) at the squinted angles
+    ``x``, one subcarrier per entry along the last axis, computed in place
+    of ``x``; the signed gain ratio squares to the same bits as its
+    magnitude."""
     g = _gain_ratio(x, arr.n_antennas, out=x)
     np.square(g, out=g)
     np.multiply(g, band.snr, out=g)
     np.add(g, 1.0, out=g)
-    np.log2(g, out=g)
-    return band.bandwidth / band.n_f * g.sum(axis=-1)
+    return np.log2(g, out=g)
+
+
+def _rate_sum(terms: np.ndarray, band: BandConfig) -> np.ndarray:
+    """The squinted capacity B/n_f * sum(terms) along the last axis; on
+    :func:`_rate_terms` it equals the plain expression B/n_f *
+    sum(log2(1 + snr*gain_mag(x)**2)) bit for bit."""
+    return band.bandwidth / band.n_f * terms.sum(axis=-1)
+
+
+def _capacity_point(psi_f: float, psi: float, band: BandConfig,
+                    arr: ArrayConfig) -> tuple[np.ndarray | float, float, bool]:
+    """The rate terms, the value and the lobe flag of C(psi_f, psi) at two
+    floats, for :func:`_lobe_bound`.
+
+    The value is ``capacity_bs(psi_f, psi)`` to the bit and the terms are
+    its :func:`_rate_terms`; at b = 0, where the value is
+    :func:`capacity_nbs`, the terms are that one value.  The flag is True
+    when |psi| <= 1 and both extreme offsets, those of the first and the
+    last subcarrier, are at most 2/N - 4e-15 as computed.  Each computed
+    offset xi*psi - psi_f is rounded twice from a product below 2 in
+    magnitude, so at |psi| <= 1 it is within 5e-16 of the exact offset at
+    the stored ratio, and a computed 2/N within 2.3e-16 of 2/N: the room
+    keeps the exact offsets on the main lobe |x| <= 2/N, and with them
+    every offset, exact or computed, of a run between two flagged points
+    (see :func:`_lobe_bound`) and of the rounded gain-region edges of
+    :func:`~beamsquint.codebook.improvement_max`, whose rounding moves an
+    offset by 5e-16 more.  A relative room such as ``_certified_reach``'s
+    would not do here: the rounding is absolute, and 2/N is small at
+    large N.
+    """
+    lobe = 2.0 / arr.n_antennas - 4e-15
+    if band.b == 0.0:
+        value = capacity_nbs(psi_f, psi, band, arr)
+        return value, value, abs(psi) <= 1.0 and abs(psi - psi_f) <= lobe
+    x = np.multiply(band.ratios, psi)
+    np.subtract(x, psi_f, out=x)
+    on_lobe = abs(psi) <= 1.0 and max(abs(x[0]), abs(x[-1])) <= lobe
+    terms = _rate_terms(x, band, arr)
+    return terms, float(_rate_sum(terms, band)), bool(on_lobe)
+
+
+def _lobe_bound(terms_a: np.ndarray | float, terms_b: np.ndarray | float,
+                band: BandConfig) -> float:
+    """B/n_f * sum_k min(t_k(a), t_k(b)) from the :func:`_capacity_point`
+    terms of two points a and b at one focus, or of two rounded
+    gain-region edges p +- w at foci a and b: a bound that every computed
+    capacity of the run between them clears, when both points are flagged
+    on the main lobe, up to the margin below.
+
+    Lemma.  D_N(u) = sin(N*u)/sin(u) = sum_k cos((N-1-2k)*u), and each
+    cosine decreases in |u| on [0, pi/N], where D_N >= 0; so the gain G(x)
+    = |D_N(pi*x/2)|/sqrt(N) falls as |x| grows on the main lobe |x| <= 2/N,
+    and so does each rate term t_k = log2(1 + snr*G(x_k)^2).  Subcarrier
+    xi_k sees x_k = xi_k*psi - f, affine in the arrival angle psi, and at a
+    region edge psi = p +- w affine in the focus p too.  The outer
+    subcarriers' offsets are the extreme ones, so when both ends put them
+    on the lobe, every x_k moves along a segment of the lobe between its
+    two end values, where t_k is smallest at an end: the exact capacity on
+    the run is at least the exact bound.  Rounding: each computed term is
+    within a fixed bound of the exact one, bullet by bullet as in
+    :func:`_rounding_bound` (the bullets bound each term, not only their
+    sum), so the min of two computed terms is within it of the exact min,
+    and the sum rounds as a capacity's does: the computed bound, as each
+    computed capacity on the run, is within E/1.05 of the exact value.  A
+    rounded region edge is within u = 2**-53 of p +- w and moves the
+    capacity by at most u*L, twice in all, the 2u*L that
+    :func:`_on_focus_slope_bound` sets aside.  So a computed bound >= level
+    + M of :func:`_sign_margin` proves every computed capacity on the run
+    >= the level, as its lemma does.  At b = 0 the terms are the values,
+    and the bound is the smaller one.
+    """
+    low = np.minimum(terms_a, terms_b)
+    return float(low) if band.b == 0.0 else float(_rate_sum(low, band))
 
 
 def _capacity_rows(pf: np.ndarray, ps: np.ndarray, band: BandConfig,
@@ -160,7 +231,8 @@ def _capacity_rows(pf: np.ndarray, ps: np.ndarray, band: BandConfig,
     for i in range(0, len(ps), rows):
         s = slice(i, i + rows)
         x = np.multiply(band.ratios, ps[s, np.newaxis])
-        out[s] = _rate_sum(np.subtract(x, pf[s, np.newaxis], out=x), band, arr)
+        out[s] = _rate_sum(_rate_terms(np.subtract(x, pf[s, np.newaxis], out=x), band, arr),
+                           band)
     return out
 
 
@@ -208,8 +280,9 @@ def _on_focus_slope_bound(band: BandConfig, arr: ArrayConfig) -> float:
     in [-1, 1], and the capacity at a fixed focus moves by at most L times
     that.  So between two foci the exact capacity at the computed edges
     moves by at most this bound times their distance plus 2u*L.  The lemma
-    of :func:`_sign_margin` leaves room for that: its terms use 19u*L of
-    the 32u*L in M."""
+    of :func:`_sign_margin` leaves room for that in its two-end form, which
+    uses 18u*L of the 32u*L in M, and so does the main-lobe bound of
+    :func:`_lobe_bound`, which uses none."""
     return (capacity_slope_bound(band, arr) * _max_offset_ratio(band)
             / (1.0 + band.b / 2.0))
 
@@ -268,6 +341,15 @@ def _sign_margin(c_t: float, band: BandConfig, arr: ArrayConfig) -> float:
     level's and the test's sums round by u*(level + M) each.  That adds up
     to at most 2E/1.05 + 19u*L + 2u*(c_t + M) <= M.  A level <= 0 is met
     trivially.
+
+    Two-end form: with c_a and c_b computed at the two ends of a piece
+    Delta <= 2 apart, the test (c_a + c_b)/2 - S*Delta/2 >= level + M
+    proves the same, for the exact capacity on the piece is at least
+    (C_a + C_b)/2 less the bound times Delta/2, where the two slope bounds
+    from the ends meet.  The computed S*Delta/2 is within 18u*L of the
+    bound times Delta/2, and c_a + c_b rounds by at most u*(P + E), P =
+    B*log2(1 + N*snr) >= every exact capacity, which E >= 20u*P leaves room
+    for in its 5%.
     """
     return 2.0 * _rounding_bound(band, arr) + 2.0 ** -51 * (
         c_t + 8.0 * capacity_slope_bound(band, arr))

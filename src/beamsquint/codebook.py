@@ -52,10 +52,10 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .array_model import ArrayConfig
-from .capacity import (BandConfig, _capacity_model, _max_offset_ratio, _mirror_margin,
-                       _on_focus_slope_bound, _require_finite_positive, _sign_margin,
-                       beamwidth_nbs, capacity_bs, capacity_slope_bound,
-                       capacity_threshold, gain_region)
+from .capacity import (BandConfig, _capacity_model, _capacity_point, _lobe_bound,
+                       _max_offset_ratio, _mirror_margin, _on_focus_slope_bound,
+                       _require_finite_positive, _sign_margin, beamwidth_nbs, capacity_bs,
+                       capacity_slope_bound, capacity_threshold, gain_region)
 from .errors import ConfigError, DomainError, InfeasibleError
 from .roots import TOL, bisect
 
@@ -377,12 +377,12 @@ def _certified_reach(psi_m: float, c_t: float, band: BandConfig,
     angle is.
 
     C(psi, psi), a beam's capacity at its own focus, sees subcarrier xi at
-    offset x = (xi - 1)*psi.  D_N(u) = sum_k cos((N-1-2k)*u), and each
-    cosine decreases in |u| on [0, pi/N], so the gain falls as |x| grows
-    on the main lobe |x| <= 2/N: C(psi, psi) does not increase with |psi|
-    up to span = 2/(N*max|xi - 1|).  One evaluation at hi = min(psi_m,
-    span) that clears c_t + M proves the computed C(psi, psi) >= c_t at
-    every |psi| <= hi, by the lemma of
+    offset x = (xi - 1)*psi.  Each rate term falls as |x| grows on the
+    main lobe |x| <= 2/N (the lemma of
+    :func:`~beamsquint.capacity._lobe_bound`), so C(psi, psi) does not
+    increase with |psi| up to span = 2/(N*max|xi - 1|).  One evaluation
+    at hi = min(psi_m, span) that clears c_t + M proves the computed C(psi,
+    psi) >= c_t at every |psi| <= hi, by the lemma of
     :func:`~beamsquint.capacity._sign_margin` with S = 0.  When hi does not
     clear, one bisection on [0, hi] finds a point that does, and the proof
     holds up to it.  At zero bandwidth C(psi, psi) is one value for every
@@ -543,14 +543,17 @@ def coverage_check(cb: Codebook, band: BandConfig, arr: ArrayConfig,
     The beams are taken in focus order, whatever their order in the book,
     and every point is first tested against the beam with the nearest focus
     (a speed heuristic only).  A run of points with the same nearest beam
-    passes when the capacity at its middle point, less
-    :func:`~beamsquint.capacity.capacity_slope_bound` times h, the larger
-    distance from that point to the run's ends (at most 1), clears the
-    floor by M of :func:`~beamsquint.capacity._sign_margin` and every
-    offset on the run is at most 1; the points either side of an unproved
-    run's middle form two runs, so no point is evaluated twice.
-    A point passes only where the floor is proved or computed, so by M's
-    lemma the verdict equals a point-by-point check at every SNR.  Each
+    is evaluated at its two ends.  It passes when both ends put every
+    offset on the main lobe and the bound of
+    :func:`~beamsquint.capacity._lobe_bound` from the two ends clears the
+    floor by M of :func:`~beamsquint.capacity._sign_margin`, or else when
+    every offset is at most 1 and the two ends' mean capacity, less
+    :func:`~beamsquint.capacity.capacity_slope_bound` times half the run's
+    width, clears it by M.  An unproved run is split at its middle point,
+    which is evaluated and ends both halves, so no point is evaluated
+    twice (see :func:`_halve`).  A point passes only where the floor is
+    proved or computed, so by M's lemma the verdict equals a
+    point-by-point check at every SNR.  Each
     point that fails is then tested against every beam, one call per point,
     and the first point that no beam covers ends the check.  The check
     depends only on the codebook and the model, never on a solver
@@ -579,32 +582,63 @@ def _screen_runs(grid: np.ndarray, focus: np.ndarray, floor: float, c_t: float,
                  band: BandConfig, arr: ArrayConfig) -> np.ndarray:
     """Mask of the grid points whose own ``focus`` misses ``floor``.
 
-    Evaluates each run of equal foci at its middle point, which is then
-    checked, and splits a run the slope bound does not prove into the
-    points on either side, so each point is evaluated at most once; each
-    level is one batched capacity call.  A run's largest offset xi*psi -
-    focus, as capacity_bs computes it, sits at one of its two ends and one
-    of the two outer subcarriers.
+    Each run of equal foci is screened by :func:`_halve` from its two ends,
+    one point at a time, so each point is evaluated at most once.  A piece
+    is proved by the main-lobe bound of
+    :func:`~beamsquint.capacity._lobe_bound` or, failing that, by the
+    two-end slope test of :func:`~beamsquint.capacity._sign_margin` with
+    L of :func:`~beamsquint.capacity.capacity_slope_bound`, which needs
+    every offset on the piece at most 1.  A piece's largest offset xi*psi
+    - focus, as capacity_bs computes it, sits at one of its two ends and
+    one of the two outer subcarriers.
     """
     slope = capacity_slope_bound(band, arr)
     margin = floor + _sign_margin(c_t, band, arr)
+    outer = band.ratios[[0, -1]].tolist()
+    psis, foci = grid.tolist(), focus.tolist()
     missed = np.zeros(len(grid), dtype=bool)
-    cuts = np.flatnonzero(focus[1:] != focus[:-1]) + 1
-    lo = np.concatenate(([0], cuts))
-    hi = np.concatenate((cuts, [len(grid)]))
-    while len(lo):
-        mid = (lo + hi) // 2
-        caps = capacity_bs(focus[mid], grid[mid], band, arr)
-        missed[mid] = caps < floor
-        first, centre, last = grid[lo], grid[mid], grid[hi - 1]
-        h = np.maximum(centre - first, last - centre)
-        ends = np.multiply.outer(band.ratios[[0, -1]], (first, last)) - focus[lo]
-        unproved = ((np.abs(ends).max(axis=(0, 1)) > 1.0) | (h > 1.0)
-                    | (caps - slope * h < margin))
-        lo, hi, mid = lo[unproved], hi[unproved], mid[unproved]
-        lo, hi = np.concatenate((lo, mid + 1)), np.concatenate((mid, hi))
-        lo, hi = lo[lo < hi], hi[lo < hi]
+
+    def evaluate(i: int) -> tuple:
+        f, psi = foci[i], psis[i]
+        terms, c, on_lobe = _capacity_point(f, psi, band, arr)
+        missed[i] = c < floor
+        return terms, c, on_lobe, max(abs(xi * psi - f) for xi in outer) <= 1.0
+
+    def proved(i: int, a: tuple, j: int, b: tuple) -> bool:
+        (terms_a, c_a, lobe_a, near_a), (terms_b, c_b, lobe_b, near_b) = a, b
+        if lobe_a and lobe_b and _lobe_bound(terms_a, terms_b, band) >= margin:
+            return True
+        return (near_a and near_b
+                and (c_a + c_b) / 2.0 - slope * (psis[j] - psis[i]) / 2.0 >= margin)
+
+    cuts = (np.flatnonzero(focus[1:] != focus[:-1]) + 1).tolist()
+    for lo, hi in zip([0] + cuts, cuts + [len(grid)]):
+        _halve(lo, hi - 1, evaluate, proved)
     return missed
+
+
+def _halve(lo: int, hi: int, evaluate: Callable[[int], object | None],
+           proved: Callable[[int, object, int, object], bool]) -> bool:
+    """Screen the indices lo..hi from their two ends: ``evaluate`` each end
+    (once if they are one), then, depth first, the middle index of every
+    piece [i, j] with points inside that ``proved(i, a, j, b)`` does not
+    clear from the records a and b of its ends, and go on with the two
+    halves.  Each index is evaluated at most once, and only the records
+    of the open pieces' ends are held.  Returns False, having stopped, as
+    soon as ``evaluate`` returns None."""
+    a = evaluate(lo)
+    b = a if hi == lo or a is None else evaluate(hi)
+    pieces = [(lo, a, hi, b)]
+    while pieces:
+        i, a, j, b = pieces.pop()
+        if a is None or b is None:
+            return False
+        if j - i < 2 or proved(i, a, j, b):
+            continue
+        m = (i + j) // 2
+        c = evaluate(m)
+        pieces += [(i, a, m, c), (m, c, j, b)]
+    return True
 
 
 def _coverage_grid(psi_m: float, step: float) -> np.ndarray:
@@ -671,24 +705,28 @@ def improvement_max(r: float, band: BandConfig, arr: ArrayConfig,
     most 2*c_t, cannot raise the maximum.
 
     A focus p with p + w <= 1, w the region's half-width, has an unclipped
-    region [p - w, p + w], and C(p, p +- w) has slope in p at most S of
+    region [p - w, p + w]: each subcarrier's offset at an edge p +- w is
+    affine in p, and C(p, p +- w) has slope in p at most S of
     :func:`~beamsquint.capacity._on_focus_slope_bound`, the rounding of the
-    region edges included (see there).  The last such focus and every
-    clipped one are evaluated first, as the smallest C_min is usually
-    among them.  The other foci form a run that is halved as in
-    :func:`coverage_check`: its middle focus is evaluated, and the run is
-    skipped when C_min there, less S times h, the larger distance to the
-    run's ends, is at least the smallest C_min so far plus M of
-    :func:`~beamsquint.capacity._sign_margin` taken at 2*c_t.  By M's
-    lemma, applied to each of the two edges, every computed C_min on the
-    run is then at least that smallest one.  Otherwise the points either
-    side of the middle form two runs.  The
-    screen needs every offset at most 1, which max|xi - 1| + w <= 1 - 1e-12
-    ensures with room for the roundings, and a finite, normal c_t.  The
-    threshold c_t is computed once.  An evaluated C_min that is not finite
-    and positive ends the screen, and every focus is evaluated in grid
-    order, as without it: :func:`improvement_ratio` then raises DomainError
-    at the first focus where C_min <= 0.
+    region edges included (see there).  Every clipped focus is evaluated
+    first, as the smallest C_min is usually among them.  The other foci
+    form a run that is screened from its two ends, as in
+    :func:`coverage_check` (see :func:`_halve`), against the smallest C_min
+    so far plus M of :func:`~beamsquint.capacity._sign_margin` taken at
+    2*c_t.  A piece of the run is skipped when every offset at its two
+    ends' edges is on the main lobe and the smaller of the two edges'
+    bounds from :func:`~beamsquint.capacity._lobe_bound` clears that
+    level, or else when the two ends' mean C_min, less S times half the
+    piece's width, clears it.  By M's lemma, applied to each of the two
+    edges, every computed C_min on the piece is then at least that
+    smallest one.  Otherwise its middle focus is evaluated and ends both
+    halves.  The slope test needs every offset at most 1, which max|xi -
+    1| + w <= 1 - 1e-12 ensures with room for the roundings, and both
+    tests a finite, normal c_t.  The threshold c_t is computed once.  An
+    evaluated C_min that is not finite and positive ends the screen, and
+    every focus is evaluated in grid order, as without it:
+    :func:`improvement_ratio` then raises DomainError at the first focus
+    where C_min <= 0.
     """
     grid = _focus_grid(grid_step).tolist()
     w = gain_region(0.0, r, arr).hi  # the half-width, r checked as at every focus
@@ -700,21 +738,34 @@ def improvement_max(r: float, band: BandConfig, arr: ArrayConfig,
     slope = _on_focus_slope_bound(band, arr)
     margin = _sign_margin(2.0 * c_t, band, arr)
     best, top = math.inf, -math.inf
-    last = max(free - 1, 0)
-    runs = [(0, last), (last, len(grid))]
-    while runs:
-        lo, hi = runs.pop()
-        if lo == hi:
-            continue
-        mid = (lo + hi) // 2
-        c = traditional_min_capacity(grid[mid], r, band, arr)
+
+    def evaluate(i: int) -> tuple | None:
+        """The two region edges' points at focus i and C_min there, or None
+        when C_min is not finite and positive."""
+        nonlocal best, top
+        region = gain_region(grid[i], r, arr)
+        edges = [_capacity_point(grid[i], psi, band, arr) for psi in (region.lo, region.hi)]
+        c = min(edges[0][1], edges[1][1])
         if not 0.0 < c < math.inf:
-            return max(improvement_ratio(p, r, band, arr) for p in grid)
+            return None
         best, top = min(best, c), max(top, (c_t - c) / c)
-        h = max(grid[mid] - grid[lo], grid[hi - 1] - grid[mid])
-        if hi > free or best > 2.0 * c_t or c - slope * h < best + margin:
-            runs += [(lo, mid), (mid + 1, hi)]
-    return top
+        return edges, c
+
+    def proved(i: int, a: tuple, j: int, b: tuple) -> bool:
+        if best > 2.0 * c_t:
+            return False
+        level = best + margin
+        (edges_a, c_a), (edges_b, c_b) = a, b
+        if (all(e[2] for e in edges_a + edges_b)
+                and min(_lobe_bound(ea[0], eb[0], band)
+                        for ea, eb in zip(edges_a, edges_b)) >= level):
+            return True
+        return (c_a + c_b) / 2.0 - slope * (grid[j] - grid[i]) / 2.0 >= level
+
+    if (all(evaluate(i) is not None for i in range(len(grid) - 1, free - 1, -1))
+            and (free == 0 or _halve(0, free - 1, evaluate, proved))):
+        return top
+    return max(improvement_ratio(p, r, band, arr) for p in grid)
 
 
 def _focus_grid(step: float) -> np.ndarray:

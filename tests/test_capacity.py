@@ -159,13 +159,13 @@ class TestCapacityBs:
         scalar = [capacity_bs(float(f), float(p), band, arr16)
                   for f, p in zip(foci, psis)]
         monkeypatch.setattr(capacity, "_BLOCK_ELEMENTS", 3 * 64)
-        rate_sum, seen = capacity._rate_sum, []
+        rate_terms, seen = capacity._rate_terms, []
 
         def recording(x, band, arr):
             seen.append(len(x))
-            return rate_sum(x, band, arr)
+            return rate_terms(x, band, arr)
 
-        monkeypatch.setattr(capacity, "_rate_sum", recording)
+        monkeypatch.setattr(capacity, "_rate_terms", recording)
         assert _capacity_rows(foci, psis, band, arr16).tolist() == scalar
         assert seen == sizes
 
@@ -175,16 +175,16 @@ class TestCapacityBs:
         band = BandConfig(b=0.05, n_f=2048, snr=1.0)
         psis = np.linspace(-1.0, 1.0, count)
         scalar = [capacity_bs(0.3, float(p), band, arr16) for p in psis]
-        rate_sum, seen = capacity._rate_sum, []
+        rate_terms, seen = capacity._rate_terms, []
 
         def recording(x, band, arr):
             seen.append(len(x))
-            return rate_sum(x, band, arr)
+            return rate_terms(x, band, arr)
 
         def refuse(self):
             raise AssertionError("a thread was started")
 
-        monkeypatch.setattr(capacity, "_rate_sum", recording)
+        monkeypatch.setattr(capacity, "_rate_terms", recording)
         monkeypatch.setattr(threading.Thread, "start", refuse)
         assert _capacity_rows(np.full(count, 0.3), psis, band, arr16).tolist() == scalar
         full, rest = divmod(count, 32)
@@ -196,15 +196,15 @@ class TestCapacityBs:
         psis, foci = np.linspace(-1.0, 1.0, 7), np.zeros(7)
         block_of = {band.ratios[0] * psis[i] - foci[i]: i // 3 for i in range(0, 7, 3)}
         monkeypatch.setattr(capacity, "_BLOCK_ELEMENTS", 3 * 64)
-        rate_sum = capacity._rate_sum
+        rate_terms = capacity._rate_terms
 
         def failing(x, band, arr):
             k = block_of[x[0, 0]]
             if k >= 1:
                 raise ValueError(k)
-            return rate_sum(x, band, arr)
+            return rate_terms(x, band, arr)
 
-        monkeypatch.setattr(capacity, "_rate_sum", failing)
+        monkeypatch.setattr(capacity, "_rate_terms", failing)
         with pytest.raises(ValueError) as exc:
             _capacity_rows(foci, psis, band, arr16)
         assert exc.value.args == (1,)
@@ -308,6 +308,72 @@ class TestMirrorIdentity:
         exact = max(abs(Fraction(x) + Fraction(y) - 2) for x, y in zip(ratios, ratios[::-1]))
         assert exact <= Fraction(2) ** -52
         assert pair_asymmetry(ratios) == exact
+
+
+def lobe_band(b, pairs, snr_db, hz):
+    return BandConfig(b=b, n_f=2 * pairs, snr=10 ** (snr_db / 10),
+                      bandwidth_hz=2.5e9 if hz else None)
+
+
+LOBE_BANDS = dict(n=st.integers(2, 1024), b=st.one_of(st.just(0.0), st.floats(0.0, 1.9)),
+                  pairs=st.integers(1, 1024), snr_db=st.floats(-80.0, 30.0),
+                  hz=st.booleans())
+
+
+class TestLobeBound:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(**LOBE_BANDS, focus=st.floats(-1.0, 1.0), ends=st.tuples(st.floats(0.0, 1.0),
+                                                                      st.floats(0.0, 1.0)))
+    def test_every_point_of_a_run_on_the_lobe_clears_the_bound(self, n, b, pairs, snr_db,
+                                                               hz, focus, ends):
+        # The angles psi that put both extreme offsets xi*psi - f on the
+        # main lobe form an interval, not empty for |f| < 4/(N*(xi_max -
+        # xi_min)); every computed capacity on a run inside it is at least
+        # the bound from the run's two ends, less the sign margin.
+        arr, band = ArrayConfig(n), lobe_band(b, pairs, snr_db, hz)
+        lo_xi, hi_xi = band.ratios[[0, -1]].tolist()
+        lobe = 2.0 / n
+        f = focus * (1.0 if hi_xi == lo_xi else min(1.0, 0.999 * 2 * lobe / (hi_xi - lo_xi)))
+        lo = max(-1.0, (f - lobe) / lo_xi, (f - lobe) / hi_xi)
+        hi = min(1.0, (f + lobe) / lo_xi, (f + lobe) / hi_xi)
+        assume(lo < hi)
+        psi_a, psi_b = (lo + (hi - lo) * t for t in ends)
+        terms_a, _, on_a = capacity._capacity_point(f, psi_a, band, arr)
+        terms_b, _, on_b = capacity._capacity_point(f, psi_b, band, arr)
+        assume(on_a and on_b)
+        bound = capacity._lobe_bound(terms_a, terms_b, band)
+        caps = capacity_bs(f, np.linspace(psi_a, psi_b, 64), band, arr)
+        assert np.all(caps >= bound - capacity._sign_margin(bound, band, arr))
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(**LOBE_BANDS, psi=st.floats(-1.0, 1.0), outer=st.sampled_from([0, -1]),
+           sign=st.sampled_from([-1.0, 1.0]), shift=st.floats(-1e-12, 1e-12))
+    def test_off_the_lobe_when_an_end_offset_passes_two_over_n(self, n, b, pairs, snr_db,
+                                                              hz, psi, outer, sign, shift):
+        # One extreme offset within 1e-12 (relative) of the lobe's edge: the
+        # flag is False wherever an exact offset at the stored ratios passes
+        # 2/N, and True wherever both are 1e-14 inside it.
+        arr, band = ArrayConfig(n), lobe_band(b, pairs, snr_db, hz)
+        f = float(band.ratios[outer]) * psi - sign * (2.0 / n) * (1.0 + shift)
+        _, _, on_lobe = capacity._capacity_point(f, psi, band, arr)
+        exact = max(abs(Fraction(xi) * Fraction(psi) - Fraction(f))
+                    for xi in band.ratios[[0, -1]].tolist())
+        if exact > Fraction(2, n):
+            assert not on_lobe
+        if exact <= Fraction(2, n) - Fraction(1e-14):
+            assert on_lobe
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(**LOBE_BANDS, focus=st.floats(-1.0, 1.0), psi=st.floats(-1.0, 1.0))
+    def test_value_is_capacity_bs_to_the_bit(self, n, b, pairs, snr_db, hz, focus, psi):
+        # Scalar and vector calls alike, at b = 0 (capacity_nbs) and in Hz;
+        # the bound of a point with itself is its value.
+        arr, band = ArrayConfig(n), lobe_band(b, pairs, snr_db, hz)
+        terms, value, _ = capacity._capacity_point(focus, psi, band, arr)
+        assert value == capacity_bs(focus, psi, band, arr)
+        assert value == capacity_bs(np.array([focus, 0.0]), np.array([psi, 0.5]),
+                                    band, arr)[0]
+        assert capacity._lobe_bound(terms, terms, band) == value
 
 
 class TestCapacityModel:

@@ -520,16 +520,27 @@ def designed(n, band):
     return design_codebook(1.0, threshold(band, arr), band, arr), arr
 
 
-def checked_points(cb, band, arr, step):
-    """coverage_check's verdict on ``cb`` and the points it evaluates."""
-    points = [0]
-
-    def counting(psi_f, psi, *rest):
+def count_evaluations(m, points):
+    """Make ``codebook``'s two capacity evaluations, ``capacity_bs`` and
+    the screens' one-point ``_capacity_point``, add the points they
+    evaluate to ``points[0]``, patched through MonkeyPatch ``m``."""
+    def counting_bs(psi_f, psi, *rest):
         points[0] += np.broadcast(np.asarray(psi_f), np.asarray(psi)).size
         return capacity_bs(psi_f, psi, *rest)
 
+    def counting_point(*args):
+        points[0] += 1
+        return capacity._capacity_point(*args)
+
+    m.setattr(codebook, "capacity_bs", counting_bs)
+    m.setattr(codebook, "_capacity_point", counting_point)
+
+
+def checked_points(cb, band, arr, step):
+    """coverage_check's verdict on ``cb`` and the points it evaluates."""
+    points = [0]
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(codebook, "capacity_bs", counting)
+        count_evaluations(m, points)
         return coverage_check(cb, band, arr, grid_step=step), points[0]
 
 
@@ -683,21 +694,19 @@ class TestCoverageCheck:
 
 
 class TestCoverageScreen:
-    """coverage_check proves most grid points with the capacity slope bound;
-    its verdict must equal the point-by-point reference in every case."""
+    """coverage_check proves most grid points from the two ends of each run
+    that shares a nearest beam, by the main-lobe bound or else the two-end
+    slope test, and halves the runs neither proves; its verdict must equal
+    the point-by-point reference in every case."""
 
     def same_verdict(self, cb, band, arr, step, expected):
         # The screen also evaluates no grid point twice, so at most the grid.
         screened = [0]
         runs = codebook._screen_runs
 
-        def counting(psi_f, psi, *rest):
-            screened[0] += np.broadcast(np.asarray(psi_f), np.asarray(psi)).size
-            return capacity_bs(psi_f, psi, *rest)
-
         def screen(*args):
             with pytest.MonkeyPatch.context() as m:
-                m.setattr(codebook, "capacity_bs", counting)
+                count_evaluations(m, screened)
                 return runs(*args)
 
         with pytest.MonkeyPatch.context() as m:
@@ -764,25 +773,32 @@ class TestCoverageScreen:
 
     def test_low_snr_screen_evaluates_fewer_points_than_the_grid(self):
         # At N*snr << 1 the slope bound's factor 2*snr*sqrt(N) is far below
-        # sqrt(snr), so the screen proves most runs: 3,501 evaluated points
-        # for the 20,001-point grid (4,234 when runs of up to 4 points were
+        # sqrt(snr), so the screen proves most runs: 575 evaluated points
+        # for the 20,001-point grid (3,501 from each run's middle point and
+        # the slope bound alone, 4,234 when runs of up to 4 points were
         # evaluated point by point, 4,920 when each run's probe was an extra
         # point, 25,987 with sqrt(snr) alone).
         n = 128
-        assert self.screened_points(n, band_for(2.0 / n, n_f=256, snr=1e-8)) <= 3_501
+        assert self.screened_points(n, band_for(2.0 / n, n_f=256, snr=1e-8)) <= 575
 
     @pytest.mark.parametrize("n, band, most", [
         # About 17 grid points a beam, and short runs halved like long ones
-        # still prove some (every point, 20,001, when runs of up to 4 points
-        # were evaluated point by point; 23,639 when each run's probe was an
-        # extra point).
-        (1024, band_for(2.0 / 1024, n_f=256, snr=1e-6), 14_617),
-        # The scan workload's books, 2.5 GHz at 73 GHz and 0 dB (5,136 and
-        # 1,904 when runs of up to 4 points were evaluated point by point,
-        # 5,747 and 1,973 when each run's probe was an extra point).
-        (64, band_for(2.5 / 73), 4_286),
-        (32, band_for(2.5 / 73), 1_681),
-    ], ids=["n1024-low-snr", "n64-scan", "n32-scan"])
+        # still prove some (14,617 from each run's middle point and the
+        # slope bound alone; every point, 20,001, when runs of up to 4
+        # points were evaluated point by point; 23,639 when each run's probe
+        # was an extra point).
+        (1024, band_for(2.0 / 1024, n_f=256, snr=1e-6), 4_039),
+        # The scan workload's books, 2.5 GHz at 73 GHz and 0 dB (4,286 and
+        # 1,681 from each run's middle point and the slope bound alone;
+        # 5,136 and 1,904 when runs of up to 4 points were evaluated point
+        # by point, 5,747 and 1,973 when each run's probe was an extra
+        # point).
+        (64, band_for(2.5 / 73), 518),
+        (32, band_for(2.5 / 73), 122),
+        # b*N = 2.19 at 0 dB (8,356 from each run's middle point and the
+        # slope bound alone).
+        (128, band_for(2.19 / 128), 926),
+    ], ids=["n1024-low-snr", "n64-scan", "n32-scan", "n128"])
     def test_screen_evaluates_each_point_at_most_once(self, n, band, most):
         assert self.screened_points(n, band) <= most
 
@@ -794,6 +810,18 @@ class TestCoverageScreen:
         low = np.min(capacity_bs(0.0, _coverage_grid(1.0, 1e-3), band, arr))
         c_t = 0.5 * low if expected else threshold(band, arr)
         cb = Codebook(beams=(Beam(0.0, -1.0, 1.0),), psi_m=1.0, c_t=c_t)
+        self.same_verdict(cb, band, arr, 1e-3, expected)
+
+    @pytest.mark.parametrize("expected", [True, False])
+    def test_a_run_off_the_main_lobe(self, expected):
+        # One beam at focus 0 over [-0.95, 0.95] at N=3: every offset is at
+        # most 0.974, but the run crosses the nulls near +-2/3, where no
+        # main-lobe bound holds and only the slope test may prove a piece.
+        # With c_t at 0.2 the ends clear the floor and the null does not.
+        arr, band = ArrayConfig(3), band_for(0.05, n_f=256)
+        low = np.min(capacity_bs(0.0, _coverage_grid(0.95, 1e-3), band, arr))
+        c_t = 0.5 * low if expected else 0.2
+        cb = Codebook(beams=(Beam(0.0, -0.95, 0.95),), psi_m=0.95, c_t=c_t)
         self.same_verdict(cb, band, arr, 1e-3, expected)
 
     def test_empty_book_covers_nothing(self):
@@ -930,16 +958,22 @@ class TestImprovement:
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
     def test_a_vanished_capacity_fails_at_the_first_focus_in_grid_order(
             self, first, value, monkeypatch):
-        # From focus `first` on the capacity is patched to `value`.  The
-        # screen meets it near endfire first, and still fails, or returns
-        # the NaN-tainted maximum, as the full scan does in grid order.
+        # From focus `first` on the capacity is patched to `value`, in
+        # capacity_bs and in the screen's one-point evaluation.  The screen
+        # meets it near endfire first, and still fails, or returns the
+        # NaN-tainted maximum, as the full scan does in grid order.
         arr, band = ArrayConfig(16), band_for(0.02)
         grid = codebook._focus_grid(0.01).tolist()
 
         def patched(pf, psi, band, arr):
             return value if pf >= grid[first] else capacity_bs(pf, psi, band, arr)
 
+        def patched_point(pf, psi, band, arr):
+            terms, c, on_lobe = capacity._capacity_point(pf, psi, band, arr)
+            return terms, (value if pf >= grid[first] else c), on_lobe
+
         monkeypatch.setattr(codebook, "capacity_bs", patched)
+        monkeypatch.setattr(codebook, "_capacity_point", patched_point)
         found = outcome(improvement_max, SQRT2_OVER_2, band, arr)
         assert found == outcome(ref_improvement_max, SQRT2_OVER_2, band, arr)
         if value <= 0.0:
@@ -947,9 +981,14 @@ class TestImprovement:
                              f"edge for psi_f={grid[first]}")
 
     @pytest.mark.parametrize("n, b, snr_db, calls", [
-        (64, 2.5 / 73, 0.0, 66),  # the paper's headline cell
-        (16, 0.02, 0.0, 164),
-        (128, 0.05, 3.0, 108),
+        # The slope bound alone, from each run's middle focus, took 66, 164,
+        # 108 and 202 calls in the first four cells.
+        (64, 2.5 / 73, 0.0, 22),  # the paper's headline cell
+        (16, 0.02, 0.0, 62),
+        (128, 0.05, 3.0, 78),
+        # S, which grows as N^(3/2)*b, is far above C_min's real slope in p;
+        # every offset stays on the main lobe.
+        (1024, 0.001, 0.0, 22),
         # max|xi - 1| + w > 1: offsets may pass 1, so nothing is skipped.
         (2, 1.5, 0.0, 202),
     ])
@@ -957,16 +996,11 @@ class TestImprovement:
                                                     monkeypatch):
         # Evaluating every focus of the 0.01 grid takes 202 capacity calls.
         arr, band = ArrayConfig(n), band_for(b, snr=10 ** (snr_db / 10))
-        counted = []
-
-        def counting(*args):
-            counted.append(args)
-            return capacity_bs(*args)
-
+        counted = [0]
         with monkeypatch.context() as m:
-            m.setattr(codebook, "capacity_bs", counting)
+            count_evaluations(m, counted)
             value = improvement_max(SQRT2_OVER_2, band, arr)
-        assert len(counted) == calls
+        assert counted[0] == calls
         assert value == ref_improvement_max(SQRT2_OVER_2, band, arr)
 
     def test_max_close_to_endfire_value(self):
